@@ -30,23 +30,30 @@ from .errors import (
 from .iterations import (
     MethodKind,
     StepResult,
-    dochev_byrnev_step,
     ehrlich_step_bs,
-    ehrlich_step_newton,
     tanabe_step,
     weierstrass_step,
 )
 from .measures import (
+    Measurement,
     NormContext,
-    cone_norm,
     e_measure,
+    measure,
     norm_context,
     p_norm,
     separation,
-    sigma_sum,
     weierstrass_correction,
 )
-from .oracle import MatchedRoots, known_instance, match_roots, newton_viete_step
+from .oracle import (
+    MatchedRoots,
+    cone_norm,
+    dochev_byrnev_step,
+    ehrlich_step_newton,
+    known_instance,
+    match_roots,
+    newton_viete_step,
+    sigma_sum,
+)
 from .polynomials import (
     Polynomial,
     coeff_vector,

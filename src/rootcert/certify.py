@@ -9,15 +9,14 @@ thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import NormContext, e_measure, separation, weierstrass_correction
+from .measures import Measurement, NormContext, e_measure, measure
 from .polynomials import Polynomial
 
 
@@ -64,6 +63,7 @@ class Certificate:
     rho: Optional[np.ndarray]
     order: Optional[int]
     issued: bool
+    bundle: GaugeBundle = field(repr=False)  # the gauge functions it was issued under
 
     def to_dict(self) -> dict:
         return {
@@ -145,9 +145,41 @@ def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
     if method is MethodKind.EHRLICH:
         return _ehrlich_bundle(ctx)
     if method in (MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE):
-        b = _dochev_byrnev_bundle(ctx)
-        return GaugeBundle(method, ctx, b.tau, b.gamma, b.psi, b.mu, b.beta, b.phi)
+        return replace(_dochev_byrnev_bundle(ctx), method=method)
     raise UnsupportedCombination("no certification for the Weierstrass method")
+
+
+def conditions(bundle: GaugeBundle, e: float) -> Tuple[bool, float]:
+    """Whether E < tau and phi(E) <= 1 hold at E = e, together with phi(e);
+    phi is inf where e >= tau or e is NaN."""
+    phi = bundle.phi(e) if e < bundle.tau else math.inf
+    return phi <= 1.0, phi
+
+
+def _require(bundle: GaugeBundle, m: Measurement, where: str) -> float:
+    holds, phi = conditions(bundle, m.E)
+    if not holds:
+        raise NotCertified(f"conditions fail at {where} (E = {m.E:.6g})")
+    return phi
+
+
+def _radii(bundle: GaugeBundle, m: Measurement) -> np.ndarray:
+    """gamma(E)/(1 - beta(E)) * |W_i| componentwise."""
+    return bundle.gamma(m.E) / (1.0 - bundle.beta(m.E)) * np.abs(m.w)
+
+
+def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
+    """The certificate for the point whose measurement is m."""
+    issued, phi0 = conditions(bundle, m.E)
+    strict = issued and phi0 < 1.0
+    if issued:
+        lam, theta, rho = phi0, bundle.psi(m.E), _radii(bundle, m)
+    else:
+        lam, theta, rho = math.nan, math.nan, None
+    return Certificate(method=bundle.method, ctx=bundle.ctx, E0=m.E,
+                       tau=bundle.tau, phi0=phi0, strict=strict, lam=lam,
+                       theta=theta, rho=rho, order=bundle.r if strict else None,
+                       issued=issued, bundle=bundle)
 
 
 def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
@@ -155,29 +187,7 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
 
     Failure of the conditions yields an unissued certificate, not an error.
     """
-    w = weierstrass_correction(f, x0)
-    e0 = e_measure(f, x0, bundle.ctx)
-    if e0 < bundle.tau:
-        phi0 = bundle.phi(e0)
-    else:
-        phi0 = math.inf
-    issued = e0 < bundle.tau and phi0 <= 1.0
-    strict = issued and phi0 < 1.0
-    if issued:
-        lam = phi0
-        theta = bundle.psi(e0)
-        rho = bundle.gamma(e0) / (1.0 - bundle.beta(e0)) * np.abs(w)
-        order = 3 if strict else None
-    else:
-        lam = math.nan
-        theta = math.nan
-        rho = None
-        order = None
-    return Certificate(
-        method=bundle.method, ctx=bundle.ctx, E0=e0, tau=bundle.tau,
-        phi0=phi0, strict=strict, lam=lam, theta=theta, rho=rho,
-        order=order, issued=issued,
-    )
+    return certificate_at(bundle, measure(f, x0, bundle.ctx))
 
 
 # Powers lambda**(3**k) underflow long before k reaches this cap; beyond it
@@ -211,33 +221,27 @@ def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
     lam_s = _power(cert.lam, s_k)
     lam_r = _power(cert.lam, 3.0 ** kc)
     # gamma evaluated at E0 * lambda**S_k, which stays inside [0, tau)
-    bundle = gauge_bundle(cert.method, cert.ctx)
-    a_k = bundle.gamma(cert.E0 * lam_s)
+    a_k = cert.bundle.gamma(cert.E0 * lam_s)
     return a_k * (cert.theta ** k) * lam_s / (1.0 - cert.theta * lam_r) * w0_norm
 
 
 def a_posteriori_bound_1(f: Polynomial, xk, bundle: GaugeBundle) -> np.ndarray:
     """gamma(E_k)/(1 - beta(E_k)) * |W_i(xk)| componentwise."""
-    w = weierstrass_correction(f, xk)
-    ek = e_measure(f, xk, bundle.ctx)
-    if not (ek < bundle.tau and bundle.phi(ek) <= 1.0):
-        raise NotCertified(f"conditions fail at xk (E = {ek:.6g})")
-    return bundle.gamma(ek) / (1.0 - bundle.beta(ek)) * np.abs(w)
+    m = measure(f, xk, bundle.ctx)
+    _require(bundle, m, "xk")
+    return _radii(bundle, m)
 
 
 def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndarray:
     """Second a posteriori estimate, bounding the error at xk1 = T(xk)."""
-    w = weierstrass_correction(f, xk)
-    ek = e_measure(f, xk, bundle.ctx)
-    if not (ek < bundle.tau and bundle.phi(ek) <= 1.0):
-        raise NotCertified(f"conditions fail at xk (E = {ek:.6g})")
-    lam_k = bundle.phi(ek)
-    theta_k = bundle.psi(ek)
+    m = measure(f, xk, bundle.ctx)
+    lam_k = _require(bundle, m, "xk")
+    theta_k = bundle.psi(m.E)
     ek1 = e_measure(f, xk1, bundle.ctx)
     if not ek1 < bundle.tau:
         raise NotCertified(f"conditions fail at xk1 (E = {ek1:.6g})")
     factor = theta_k * lam_k / (1.0 - theta_k * lam_k ** 3)
-    return factor * bundle.gamma(ek1) * np.abs(w)
+    return factor * bundle.gamma(ek1) * np.abs(m.w)
 
 
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
@@ -249,6 +253,17 @@ def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     return cert.theta * lam_r * wk_norm
 
 
+def disks_at(x: np.ndarray, bundle: GaugeBundle, m: Measurement):
+    """Inclusion disks at x, whose measurement is m; see inclusion_disks."""
+    phi = _require(bundle, m, "xk")
+    radii = _radii(bundle, m)
+    disks = [Disk(complex(c), float(r)) for c, r in zip(x, radii)]
+    gaps = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    overlap = np.any(gaps <= radii[:, None] + radii[None, :])
+    return disks, bool(phi < 1.0 and not overlap)
+
+
 def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     """Root-inclusion disks centered at the current approximations.
 
@@ -257,19 +272,7 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     as belt and braces.
     """
     xk = np.asarray(xk, dtype=np.complex128)
-    w = weierstrass_correction(f, xk)
-    ek = e_measure(f, xk, bundle.ctx)
-    if not (ek < bundle.tau and bundle.phi(ek) <= 1.0):
-        raise NotCertified(f"conditions fail at xk (E = {ek:.6g})")
-    radii = bundle.gamma(ek) / (1.0 - bundle.beta(ek)) * np.abs(w)
-    disks = [Disk(complex(c), float(r)) for c, r in zip(xk, radii)]
-    disjoint = bool(bundle.phi(ek) < 1.0)
-    n = xk.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(xk[i] - xk[j]) <= radii[i] + radii[j]:
-                disjoint = False
-    return disks, disjoint
+    return disks_at(xk, bundle, measure(f, xk, bundle.ctx))
 
 
 def solve_R() -> float:
@@ -277,18 +280,25 @@ def solve_R() -> float:
 
     Unique solution of
     t^2 (1+t)(2+t) / ((1-t)(1-t-t^2)^2) * exp((t+t^2)/(1-t-t^2)) = 1
-    in (0, (sqrt(5)-1)/2), found by bisection to 1e-12.
+    in (0, (sqrt(5)-1)/2), found by bisection to 1e-12.  The returned end
+    of the final bracket has left-hand side <= 1, so it is sufficient.
     """
 
-    def g(t):
+    def lhs(t):
         u = 1.0 - t - t * t
         # exponent blows up near the right bracket end; clamp to keep
         # the sign information without overflowing
-        lhs = (t * t * (1.0 + t) * (2.0 + t) / ((1.0 - t) * u * u)
-               * math.exp(min((t + t * t) / u, 700.0)))
-        return lhs - 1.0
+        return (t * t * (1.0 + t) * (2.0 + t) / ((1.0 - t) * u * u)
+                * math.exp(min((t + t * t) / u, 700.0)))
 
-    return float(bisect(g, 1e-9, 0.618, xtol=1e-12))
+    lo, hi = 1e-9, 0.618
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if lhs(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def corollary_threshold(method: MethodKind, ctx: NormContext) -> float:

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +49,10 @@ def _parse_inline(text: str, what: str) -> np.ndarray:
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
     try:
-        p = float(text)
+        return float(text)  # also reads "inf"
     except ValueError:
         raise InputError(f"bad p value {text!r}") from None
-    return p
 
 
 def _load_request(args) -> tuple:
@@ -87,15 +83,24 @@ def _load_request(args) -> tuple:
 _METHODS = {m.value: m for m in MethodKind}
 
 
+def _disks_payload(disks, disjoint: bool) -> dict:
+    return {"disks": [{"center": _complex_to_json(d.center), "radius": d.radius}
+                      for d in disks],
+            "disjoint": disjoint}
+
+
+def _disk_lines(disks) -> list:
+    return [f"disk[{i}]: center = {d.center:.15g}, radius = {d.radius:.3e}"
+            for i, d in enumerate(disks)]
+
+
 def _result_to_json(result) -> dict:
     return {
         "certificate": None if result.certificate is None
         else result.certificate.to_dict(),
         "converged": result.converged,
         "roots": [_complex_to_json(z) for z in result.final],
-        "disks": [{"center": _complex_to_json(d.center), "radius": d.radius}
-                  for d in result.disks],
-        "disjoint": result.disjoint,
+        **_disks_payload(result.disks, result.disjoint),
         "iterations": result.iterations,
         "order_estimate": result.order_estimate,
     }
@@ -109,20 +114,26 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _cmd_solve(args) -> int:
+def _solve_request(args) -> tuple:
+    """(f, starting vector, SolveConfig) of one solve request; without a
+    guess the start is default_init, rotated at random when --seed is set."""
     f, guess = _load_request(args)
-    method = _METHODS[args.method]
     if guess is None:
         rotation = 0.4
         if args.seed is not None:
             rotation = float(np.random.default_rng(args.seed).uniform(0, 2 * np.pi))
         guess = default_init(f, rotation=rotation)
-    cfg = SolveConfig(method=method, p=_parse_p(args.p), max_iter=args.max_iter,
-                      w_tol=args.tol,
+    cfg = SolveConfig(method=_METHODS[args.method], p=_parse_p(args.p),
+                      max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
+    return f, guess, cfg
+
+
+def _cmd_solve(args) -> int:
+    f, guess, cfg = _solve_request(args)
     result = solve(f, guess, cfg)
     payload = _result_to_json(result)
-    lines = [f"method: {method.value}   converged: {result.converged}   "
+    lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
         c = result.certificate
@@ -130,8 +141,7 @@ def _cmd_solve(args) -> int:
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.tau:.6g}")
     for i, z in enumerate(result.final):
         lines.append(f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j")
-    for i, d in enumerate(result.disks):
-        lines.append(f"disk[{i}]: center = {d.center:.15g}, radius = {d.radius:.3e}")
+    lines += _disk_lines(result.disks)
     if result.order_estimate is not None:
         lines.append(f"order estimate: {result.order_estimate:.3f}")
     _emit(payload, args.json, lines)
@@ -141,14 +151,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_certify(args) -> int:
+def _point_request(args) -> tuple:
+    """(f, point vector, gauge bundle) of a certify or disks request."""
     f, guess = _load_request(args)
     if guess is None:
-        raise InputError("certify needs --guess or a guess in the input file")
-    method = _METHODS[args.method]
+        raise InputError(f"{args.subcommand} needs --guess or a guess in the input file")
     ctx = norm_context(f.degree, _parse_p(args.p))
-    bundle = gauge_bundle(method, ctx)
-    cert = certify_initial(f, guess, bundle)
+    return f, guess, gauge_bundle(_METHODS[args.method], ctx)
+
+
+def _cmd_certify(args) -> int:
+    cert = certify_initial(*_point_request(args))
     lines = [f"issued: {cert.issued}   strict: {cert.strict}",
              f"E0 = {cert.E0:.6g}   tau = {cert.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
     _emit({"certificate": cert.to_dict()}, args.json, lines)
@@ -156,24 +169,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_disks(args) -> int:
-    f, guess = _load_request(args)
-    if guess is None:
-        raise InputError("disks needs --guess or a guess in the input file")
-    method = _METHODS[args.method]
-    ctx = norm_context(f.degree, _parse_p(args.p))
-    bundle = gauge_bundle(method, ctx)
     try:
-        disks, disjoint = inclusion_disks(f, guess, bundle)
+        disks, disjoint = inclusion_disks(*_point_request(args))
     except NotCertified as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 2
-    payload = {"disks": [{"center": _complex_to_json(d.center), "radius": d.radius}
-                         for d in disks],
-               "disjoint": disjoint}
-    lines = [f"disjoint: {disjoint}"]
-    for i, d in enumerate(disks):
-        lines.append(f"disk[{i}]: center = {d.center:.15g}, radius = {d.radius:.3e}")
-    _emit(payload, args.json, lines)
+    _emit(_disks_payload(disks, disjoint), args.json,
+          [f"disjoint: {disjoint}"] + _disk_lines(disks))
     return 0
 
 
@@ -244,22 +246,11 @@ def _run_batch(args) -> int:
         print(f"no JSON files in {directory}", file=sys.stderr)
         return 1
 
-    def one(path):
-        sub = argparse.Namespace(**vars(args))
-        sub.batch = None
-        sub.input = str(path)
-        sub.coeffs = None
-        sub.guess = None
-        f, guess = _load_request(sub)
-        if guess is None:
-            guess = default_init(f)
-        cfg = SolveConfig(method=_METHODS[args.method], p=_parse_p(args.p),
-                          max_iter=args.max_iter, w_tol=args.tol,
-                          require_certificate=not args.no_certificate)
-        return path.name, _result_to_json(solve(f, guess, cfg))
-
-    with ThreadPoolExecutor() as pool:
-        results = dict(pool.map(one, files))
+    results = {}
+    for path in files:
+        sub = argparse.Namespace(**{**vars(args), "input": str(path),
+                                    "coeffs": None, "guess": None})
+        results[path.name] = _result_to_json(solve(*_solve_request(sub)))
     print(json.dumps(results, indent=2))
     return 0
 
@@ -271,7 +262,8 @@ def main(argv=None) -> int:
         if getattr(args, "batch", None):
             return _run_batch(args)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        # the library raises ValueError only on out-of-range arguments
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except RootCertError as exc:

@@ -1,9 +1,11 @@
 """One iteration step of each simultaneous root-finding method.
 
-Weierstrass, both algebraically equal Ehrlich forms, Dochev-Byrnev (through
-the closed forms for g' and g''/g') and Presic-Tanabe.  Each step is a pure
-function of (f, x) and maps an exact root vector to itself bitwise, since
-the corrections then evaluate to exactly zero.
+Every production step is a map of (x, W) with W = W_f(x): Weierstrass,
+Ehrlich in the Boersch-Supan form and Presic-Tanabe.  Dochev-Byrnev runs
+through the Tanabe map, since the two methods are identical.  The public
+``*_step(f, x)`` functions measure W and apply the same map; each maps an
+exact root vector to itself bitwise, since W then evaluates to exactly zero.
+The algebraically identical reference forms live in ``rootcert.oracle``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain
-from .measures import _require_distinct, weierstrass_correction
-from .polynomials import Polynomial, evaluate_with_derivatives
+from .measures import weierstrass_correction
+from .polynomials import Polynomial
 
 
 class MethodKind(enum.Enum):
@@ -29,7 +31,6 @@ class MethodKind(enum.Enum):
 class StepResult:
     image: np.ndarray
     corrections: np.ndarray  # W_f(x) at the input point
-    domain_ok: bool = True
 
 
 def _sigmas(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -41,80 +42,52 @@ def _sigmas(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ratio.sum(axis=1)
 
 
-def weierstrass_step(f: Polynomial, x) -> StepResult:
-    """x_i - W_i(x)."""
-    x = _require_distinct(x)
-    w = weierstrass_correction(f, x)
-    return StepResult(image=x - w, corrections=w)
+def _weierstrass(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return x - w
 
 
-def ehrlich_step_bs(f: Polynomial, x) -> StepResult:
-    """Boersch-Supan form: x_i - W_i(x) / (1 + sigma_i(x))."""
-    x = _require_distinct(x)
-    w = weierstrass_correction(f, x)
+def _ehrlich(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     den = 1.0 + _sigmas(w, x)
     bad = np.abs(den) < 1e-14 * (1.0 + np.abs(x))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")
-    return StepResult(image=x - w / den, corrections=w)
+    return x - w / den
 
 
-def ehrlich_step_newton(f: Polynomial, x) -> StepResult:
-    """Newton-like form: x_i - f(x_i) / (f'(x_i) - f(x_i) * sum 1/(x_i - x_j))."""
-    x = _require_distinct(x)
+def _tanabe(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return x - w * (1.0 - _sigmas(w, x))
+
+
+def _step(step_map, f: Polynomial, x) -> StepResult:
+    x = np.asarray(x, dtype=np.complex128)
     w = weierstrass_correction(f, x)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    recip_sums = (1.0 / diff).sum(axis=1)
-    image = np.empty_like(x)
-    for i in range(x.size):
-        fx, dfx, _ = evaluate_with_derivatives(f, x[i])
-        den = dfx - fx * recip_sums[i]
-        if abs(den) < 1e-14 * (abs(dfx) + abs(fx * recip_sums[i])):
-            raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")
-        image[i] = x[i] - fx / den
-    return StepResult(image=image, corrections=w)
+    return StepResult(image=step_map(x, w), corrections=w)
 
 
-def dochev_byrnev_step(f: Polynomial, x) -> StepResult:
-    """Dochev-Byrnev step through g(z) = C_0 * prod(z - x_j).
+def weierstrass_step(f: Polynomial, x) -> StepResult:
+    """x_i - W_i(x)."""
+    return _step(_weierstrass, f, x)
 
-    Uses the closed forms g'(x_i) = C_0 * prod_{j != i}(x_i - x_j) and
-    g''(x_i)/g'(x_i) = 2 * sum_{j != i} 1/(x_i - x_j), so each component
-    costs O(n) with no coefficient expansion.
-    """
-    x = _require_distinct(x)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    gprime = f.coeffs[0] * np.prod(diff, axis=1)
-    np.fill_diagonal(diff, np.inf)
-    g2_over_g1 = 2.0 * (1.0 / diff).sum(axis=1)
-    image = np.empty_like(x)
-    w = np.empty_like(x)
-    for i in range(x.size):
-        fx, dfx, _ = evaluate_with_derivatives(f, x[i])
-        wi = fx / gprime[i]
-        w[i] = wi
-        image[i] = x[i] - wi * (2.0 - dfx / gprime[i] + 0.5 * wi * g2_over_g1[i])
-    return StepResult(image=image, corrections=w)
+
+def ehrlich_step_bs(f: Polynomial, x) -> StepResult:
+    """Boersch-Supan form: x_i - W_i(x) / (1 + sigma_i(x))."""
+    return _step(_ehrlich, f, x)
 
 
 def tanabe_step(f: Polynomial, x) -> StepResult:
     """Presic-Tanabe step: x_i - W_i(x) * (1 - sigma_i(x))."""
-    x = _require_distinct(x)
-    w = weierstrass_correction(f, x)
-    return StepResult(image=x - w * (1.0 - _sigmas(w, x)), corrections=w)
+    return _step(_tanabe, f, x)
 
 
-_STEP_FUNCTIONS = {
-    MethodKind.WEIERSTRASS: weierstrass_step,
-    MethodKind.EHRLICH: ehrlich_step_bs,
-    MethodKind.DOCHEV_BYRNEV: dochev_byrnev_step,
-    MethodKind.TANABE: tanabe_step,
+_STEP_MAPS = {
+    MethodKind.WEIERSTRASS: _weierstrass,
+    MethodKind.EHRLICH: _ehrlich,
+    MethodKind.DOCHEV_BYRNEV: _tanabe,
+    MethodKind.TANABE: _tanabe,
 }
 
 
 def step_function(method: MethodKind):
-    """The one-step map used by the solver for a given method."""
-    return _STEP_FUNCTIONS[method]
+    """The map (x, W_f(x)) -> next iterate used by the solver for a method."""
+    return _STEP_MAPS[method]

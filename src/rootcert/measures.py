@@ -1,5 +1,8 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
+
+``measure`` is the only place where W, d and E are computed; the public
+``weierstrass_correction`` and ``e_measure`` read the same computation.
 """
 
 from __future__ import annotations
@@ -9,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadExponent,
-    DegreeMismatch,
-    EvaluationPointCollision,
-    NonDistinctComponents,
-)
+from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
 from .polynomials import Polynomial, evaluate
 
 
@@ -66,11 +64,6 @@ def p_norm(v, p: float) -> float:
     return m * float(np.sum((v / m) ** p)) ** (1.0 / p)
 
 
-def cone_norm(v) -> np.ndarray:
-    """Componentwise modulus |v_i| of a complex vector."""
-    return np.abs(np.asarray(v, dtype=np.complex128))
-
-
 def separation(x) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j|; zero entries signal
     coinciding components and are left for the caller to reject."""
@@ -82,48 +75,41 @@ def separation(x) -> np.ndarray:
     return diff.min(axis=1)
 
 
-def _require_distinct(x) -> np.ndarray:
+@dataclass(frozen=True)
+class Measurement:
+    """W_f(x), d(x) and E_f(x) = ||W_f(x) / d(x)||_p at one point vector x."""
+
+    w: np.ndarray
+    d: np.ndarray
+    E: float
+
+
+def _corrections(f: Polynomial, x) -> tuple:
+    """(W_f(x), d(x)) after checking that x has deg f distinct components."""
     x = np.asarray(x, dtype=np.complex128)
     d = separation(x)
     if np.any(d == 0.0):
         i = int(np.argmin(d))
         raise NonDistinctComponents(f"components coincide (index {i})")
-    return x
-
-
-def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
-    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j))."""
-    x = _require_distinct(x)
     if x.size != f.degree:
         raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    denom = f.coeffs[0] * np.prod(diff, axis=1)
-    return evaluate(f, x) / denom
+    return evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=1)), d
+
+
+def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """The one evaluation of W, d and E at x that a step, a trace entry,
+    a certificate and a set of disks all read."""
+    w, d = _corrections(f, x)
+    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p))
+
+
+def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
+    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j))."""
+    return _corrections(f, x)[0]
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:
     """E_f(x): the p-norm of the vector |W_i(x)| / d_i(x)."""
-    w = weierstrass_correction(f, x)
-    d = separation(x)
-    return p_norm(np.abs(w) / d, ctx.p)
-
-
-def sigma_sum(w, x, i: int, at: complex) -> complex:
-    """Sum over j != i of W_j / (at - x_j).
-
-    With at = x_i this is sigma_i(x); with at set to the i-th component of
-    the method image it is the hatted variant.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    at = complex(at)
-    total = 0.0 + 0.0j
-    for j in range(x.size):
-        if j == i:
-            continue
-        dz = at - x[j]
-        if dz == 0:
-            raise EvaluationPointCollision(f"evaluation point equals x[{j}]")
-        total += w[j] / dz
-    return total
+    return measure(f, x, ctx).E

@@ -1,9 +1,12 @@
-"""Test-support oracles: known-answer instance generation, root matching
-and a finite-difference Newton step on the Viete system.
+"""Test-support oracles: known-answer instance generation, root matching,
+a finite-difference Newton step on the Viete system, and the reference
+forms of the iterations that the identity tests compare against.
 
 The Newton step is deliberately independent of the main iteration code
 path: the Jacobian comes from central differences on the Viete function
 and the linear system is solved by hand-rolled partial-pivot elimination.
+The reference forms reach the production steps' results by another
+algebraic route; nothing in the solver calls them.
 """
 
 from __future__ import annotations
@@ -13,8 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularJacobian
-from .polynomials import Polynomial, coeff_vector, from_roots, viete
+from .errors import EvaluationPointCollision, OutsideDomain, SingularJacobian
+from .iterations import StepResult
+from .measures import weierstrass_correction
+from .polynomials import (
+    Polynomial,
+    coeff_vector,
+    evaluate_with_derivatives,
+    from_roots,
+    viete,
+)
 
 
 @dataclass(frozen=True)
@@ -117,3 +128,64 @@ def match_roots(found, truth) -> MatchedRoots:
         perm.append(j)
     err = max(dist[i, perm[i]] for i in range(n))
     return MatchedRoots(tuple(perm), float(err))
+
+
+def cone_norm(v) -> np.ndarray:
+    """Componentwise modulus |v_i| of a complex vector."""
+    return np.abs(np.asarray(v, dtype=np.complex128))
+
+
+def sigma_sum(w, x, i: int, at: complex) -> complex:
+    """Sum over j != i of W_j / (at - x_j).
+
+    With at = x_i this is sigma_i(x); with at set to the i-th component of
+    the method image it is the hatted variant.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    at = complex(at)
+    total = 0.0 + 0.0j
+    for j in range(x.size):
+        if j == i:
+            continue
+        dz = at - x[j]
+        if dz == 0:
+            raise EvaluationPointCollision(f"evaluation point equals x[{j}]")
+        total += w[j] / dz
+    return total
+
+
+def ehrlich_step_newton(f: Polynomial, x) -> StepResult:
+    """Newton-like form: x_i - f(x_i) / (f'(x_i) - f(x_i) * sum 1/(x_i - x_j))."""
+    x = np.asarray(x, dtype=np.complex128)
+    w = weierstrass_correction(f, x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    recip_sums = (1.0 / diff).sum(axis=1)
+    image = np.empty_like(x)
+    for i in range(x.size):
+        fx, dfx, _ = evaluate_with_derivatives(f, x[i])
+        den = dfx - fx * recip_sums[i]
+        if abs(den) < 1e-14 * (abs(dfx) + abs(fx * recip_sums[i])):
+            raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")
+        image[i] = x[i] - fx / den
+    return StepResult(image=image, corrections=w)
+
+
+def dochev_byrnev_step(f: Polynomial, x) -> StepResult:
+    """Dochev-Byrnev step through g(z) = C_0 * prod(z - x_j).
+
+    Uses the closed forms g'(x_i) = C_0 * prod_{j != i}(x_i - x_j) and
+    g''(x_i)/g'(x_i) = 2 * sum_{j != i} 1/(x_i - x_j), so each component
+    costs O(n) with no coefficient expansion.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    w = weierstrass_correction(f, x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    gprime = f.coeffs[0] * np.prod(diff, axis=1)
+    np.fill_diagonal(diff, np.inf)
+    g2_over_g1 = 2.0 * (1.0 / diff).sum(axis=1)
+    dfx = np.array([evaluate_with_derivatives(f, xi)[1] for xi in x])
+    image = x - w * (2.0 - dfx / gprime + 0.5 * w * g2_over_g1)
+    return StepResult(image=image, corrections=w)

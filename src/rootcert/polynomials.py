@@ -89,14 +89,7 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """
     if leading == 0:
         raise LeadingCoefficientZero("leading coefficient is zero")
-    roots = np.asarray(roots, dtype=np.complex128)
-    if roots.size < 2:
-        raise ValueError("need at least 2 roots")
-    coeffs = np.array([1.0 + 0.0j])
-    for r in roots:
-        # multiply the running product by (z - r)
-        coeffs = np.concatenate([coeffs, [0.0]]) - r * np.concatenate([[0.0], coeffs])
-    return Polynomial(leading * coeffs)
+    return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 
 def coeff_vector(f: Polynomial) -> np.ndarray:
@@ -116,5 +109,6 @@ def viete(x) -> np.ndarray:
         raise ValueError("need at least 2 components")
     coeffs = np.array([1.0 + 0.0j])
     for r in x:
+        # multiply the running product by (z - r)
         coeffs = np.concatenate([coeffs, [0.0]]) - r * np.concatenate([[0.0], coeffs])
     return coeffs[1:]

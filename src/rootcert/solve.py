@@ -11,10 +11,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certify import Certificate, Disk, certify_initial, gauge_bundle, inclusion_disks
-from .errors import NotCertified, UnsupportedCombination
+from .certify import Certificate, Disk, certificate_at, conditions, disks_at, gauge_bundle
+from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
-from .measures import e_measure, norm_context, separation
+from .measures import measure, norm_context
 from .polynomials import Polynomial
 
 
@@ -96,57 +96,51 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     With require_certificate the initial conditions are verified first
     (Ehrlich / Dochev-Byrnev / Tanabe) and the run aborts with an unissued
     certificate on failure; the returned bounds and disks are then backed
-    by the semilocal theory.
+    by the semilocal theory.  Each iterate is measured once, and that
+    measurement feeds the step, the trace, the certificate and the disks.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     if x0.size != f.degree:
         raise ValueError(f"{x0.size} starting points for degree {f.degree}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("starting points must be finite")
     ctx = norm_context(f.degree, cfg.p)
-
-    certificate = None
     bundle = None
     if cfg.method is not MethodKind.WEIERSTRASS:
         bundle = gauge_bundle(cfg.method, ctx)
-        certificate = certify_initial(f, x0, bundle)
     elif cfg.require_certificate:
         raise UnsupportedCombination(
             "the Weierstrass method has no certificate; "
             "set require_certificate=False")
 
-    scale = max(1.0, float(np.max(np.abs(f.coeffs))))
+    tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
     step = step_function(cfg.method)
     trace = IterationTrace()
 
-    def record(x):
-        from .measures import weierstrass_correction
-
-        w = weierstrass_correction(f, x)
+    def record(x, m) -> bool:
         trace.iterates.append(x)
-        trace.w_norms.append(np.abs(w))
-        trace.e_values.append(e_measure(f, x, ctx))
-        return w
+        trace.w_norms.append(np.abs(m.w))
+        trace.e_values.append(m.E)
+        return bool(np.max(trace.w_norms[-1]) <= tol)
 
-    record(x0)
-
+    x = x0
+    m = measure(f, x, ctx)
+    certificate = None if bundle is None else certificate_at(bundle, m)
+    converged = record(x, m)
     if cfg.require_certificate and not certificate.issued:
         return SolveResult(trace=trace, certificate=certificate, final=x0,
                            disks=[], disjoint=False, converged=False,
                            order_estimate=None)
 
-    x = x0
-    converged = bool(np.max(trace.w_norms[-1]) <= cfg.w_tol * scale)
     while not converged and len(trace.iterates) <= cfg.max_iter:
-        x = step(f, x).image
-        w = record(x)
-        converged = bool(np.max(np.abs(w)) <= cfg.w_tol * scale)
+        x = step(x, m.w)
+        m = measure(f, x, ctx)
+        converged = record(x, m)
 
     disks: List[Disk] = []
     disjoint = False
-    if certificate is not None and certificate.issued:
-        try:
-            disks, disjoint = inclusion_disks(f, x, bundle)
-        except NotCertified:  # pragma: no cover - cannot happen certified
-            pass
+    if certificate is not None and certificate.issued and conditions(bundle, m.E)[0]:
+        disks, disjoint = disks_at(x, bundle, m)
 
     return SolveResult(trace=trace, certificate=certificate, final=x,
                        disks=disks, disjoint=disjoint, converged=converged,

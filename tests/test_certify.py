@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rootcert
 from rootcert import (
+    Measurement,
     MethodKind,
     NotCertified,
     Polynomial,
@@ -25,6 +30,7 @@ from rootcert import (
     w_contraction_bound,
     weierstrass_correction,
 )
+from rootcert.certify import disks_at
 from conftest import well_separated_roots
 
 INF = math.inf
@@ -227,6 +233,22 @@ class TestDisks:
         with pytest.raises(NotCertified):
             inclusion_disks(F, [0.6, -0.6], b)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_disjointness_matches_pairwise_loop(self, seed):
+        # at E = 0 the radii are exactly |W_i|; on points 1 apart these W
+        # give both touching and separate neighbours, and touching counts
+        # as overlap
+        rng = np.random.default_rng(9000 + seed)
+        n = int(rng.integers(2, 6))
+        x = rng.permutation(n) + 0j
+        w = rng.choice([0.25, 0.5], size=n) + 0j
+        b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
+        disks, disjoint = disks_at(x, b, Measurement(w=w, d=separation(x), E=0.0))
+        radii = [d.radius for d in disks]
+        want = all(abs(x[i] - x[j]) > radii[i] + radii[j]
+                   for i in range(n) for j in range(i + 1, n))
+        assert disjoint is want
+
 
 class TestThresholds:
     def test_ehrlich_n5(self):
@@ -264,6 +286,18 @@ class TestSolveR:
         assert round(r, 4) == 0.2636
         assert self.lhs(r) == pytest.approx(1.0, abs=1e-9)
         assert 0 < r < (math.sqrt(5) - 1) / 2
+
+    def test_threshold_is_sufficient(self):
+        assert self.lhs(solve_R()) <= 1
+
+    def test_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(rootcert.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rootcert; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("method", [MethodKind.EHRLICH,

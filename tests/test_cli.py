@@ -182,6 +182,18 @@ class TestInputHandling:
                                "--guess", "2,-2", "--p", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--max-iter", "0"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2,3"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "nan,-2", "--no-certificate"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "inf,-2"],
+        ["thresholds", "--n", "1"],
+    ])
+    def test_out_of_range_input(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "input error" in err
+
     def test_domain_error_reported(self, capsys):
         # z^2 + 3 at (1, -1): the Ehrlich denominator vanishes
         code, _, err = run_cli(capsys, "solve", "--coeffs", "1,0,3",
@@ -204,6 +216,19 @@ class TestBatch:
         assert data["a.json"]["converged"] and data["b.json"]["converged"]
         roots_b = sorted(z["re"] for z in data["b.json"]["roots"])
         np.testing.assert_allclose(roots_b, [-2, 2], atol=1e-10)
+
+    def test_batch_honours_seed(self, capsys, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({
+            "coeffs": [{"re": float(c), "im": 0.0} for c in [1, 0, 0, -1]],
+        }))
+        one = ["solve", "--input", str(tmp_path / "a.json"), "--no-certificate"]
+        _, seeded, _ = run_json(capsys, *one, "--seed", "5")
+        _, unseeded, _ = run_json(capsys, *one)
+        code, out, _ = run_cli(capsys, "solve", "--batch", str(tmp_path),
+                               "--seed", "5", "--no-certificate")
+        assert code == 0
+        assert seeded["roots"] != unseeded["roots"]
+        assert json.loads(out)["a.json"]["roots"] == seeded["roots"]
 
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rootcert.measures as measures
 from rootcert import (
     IterationTrace,
     MethodKind,
@@ -14,6 +15,8 @@ from rootcert import (
     a_priori_bound,
     coeff_vector,
     default_init,
+    e_measure,
+    ehrlich_step_bs,
     estimate_order,
     from_roots,
     gauge_bundle,
@@ -21,8 +24,12 @@ from rootcert import (
     match_roots,
     norm_context,
     solve,
+    tanabe_step,
     viete,
+    weierstrass_correction,
+    weierstrass_step,
 )
+from conftest import random_monic, well_separated_roots
 
 INF = math.inf
 F = Polynomial([1, 0, -1])
@@ -216,3 +223,77 @@ def test_solve_config_validation():
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(w_tol=0.0)
+
+
+def test_non_finite_start_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve(F, [bad, -2.0], SolveConfig(require_certificate=False))
+
+
+@pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.TANABE,
+                                    MethodKind.DOCHEV_BYRNEV])
+def test_one_measurement_per_iterate(method, monkeypatch):
+    # each iterate costs one whole-vector evaluation of f and one set of
+    # separations, shared by the step, the trace, the certificate and disks
+    counts = {"evaluate": 0, "separation": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(measures, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(measures, name, counted)
+    f, x0 = known_instance([1.0, -1.0, 2.0, -2.0j], 0.01, seed=3)
+    res = solve(f, x0, SolveConfig(method=method))
+    assert res.certificate.issued and res.converged and res.disjoint
+    assert res.iterations >= 2
+    assert counts == {"evaluate": res.iterations + 1,
+                      "separation": res.iterations + 1}
+
+
+def _plain_run(f, x0, step, cfg):
+    """The solve loop written out over the public step functions."""
+    ctx = norm_context(f.degree, cfg.p)
+    tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
+    trace = IterationTrace()
+    x = np.asarray(x0, dtype=complex)
+    while True:
+        w = weierstrass_correction(f, x)
+        trace.iterates.append(x)
+        trace.w_norms.append(np.abs(w))
+        trace.e_values.append(e_measure(f, x, ctx))
+        if np.max(np.abs(w)) <= tol or len(trace.iterates) > cfg.max_iter:
+            return x, trace
+        x = step(f, x).image
+
+
+@pytest.mark.parametrize("method, step", [
+    (MethodKind.WEIERSTRASS, weierstrass_step),
+    (MethodKind.EHRLICH, ehrlich_step_bs),
+    (MethodKind.TANABE, tanabe_step),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_equals_plain_loop_bitwise(method, step, seed):
+    f = random_monic(7, np.random.default_rng(8000 + seed))
+    cfg = SolveConfig(method=method, require_certificate=False)
+    res = solve(f, default_init(f), cfg)
+    final, trace = _plain_run(f, default_init(f), step, cfg)
+    assert res.iterations >= 3
+    assert np.array_equal(res.final, final)
+    for got, want in [(res.trace.iterates, trace.iterates),
+                      (res.trace.w_norms, trace.w_norms)]:
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert res.trace.e_values == trace.e_values
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dochev_byrnev_runs_the_tanabe_map(seed):
+    rng = np.random.default_rng(8100 + seed)
+    f, x0 = known_instance(well_separated_roots(5, rng), 0.01, seed=seed)
+    db = solve(f, x0, SolveConfig(method=MethodKind.DOCHEV_BYRNEV))
+    ta = solve(f, x0, SolveConfig(method=MethodKind.TANABE))
+    assert db.certificate.issued and db.iterations >= 1
+    assert np.array_equal(db.final, ta.final)
+    assert len(db.trace.iterates) == len(ta.trace.iterates)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(db.trace.iterates, ta.trace.iterates))
