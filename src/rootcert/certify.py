@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, e_measure, measure
+from .measures import Measurement, NormContext, differences, e_measure, measure
 from .polynomials import Polynomial
 
 
@@ -70,7 +70,7 @@ class Certificate:
             "method": self.method.value,
             "n": self.ctx.n,
             "p": "inf" if math.isinf(self.ctx.p) else self.ctx.p,
-            "E0": self.E0,
+            "E0": _finite_or_none(self.E0),
             "tau": self.tau,
             "phi0": _finite_or_none(self.phi0),
             "strict": self.strict,
@@ -258,9 +258,10 @@ def disks_at(x: np.ndarray, bundle: GaugeBundle, m: Measurement):
     phi = _require(bundle, m, "xk")
     radii = _radii(bundle, m)
     disks = [Disk(complex(c), float(r)) for c, r in zip(x, radii)]
-    gaps = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    overlap = np.any(gaps <= radii[:, None] + radii[None, :])
+    diff = differences(x) if m.diff is None else m.diff
+    close = np.abs(diff) <= radii[:, None] + radii[None, :]
+    np.fill_diagonal(close, False)
+    overlap = np.any(close)
     return disks, bool(phi < 1.0 and not overlap)
 
 

@@ -71,6 +71,8 @@ def _load_request(args) -> tuple:
         coeffs = _parse_inline(args.coeffs, "--coeffs")
     if getattr(args, "guess", None):
         guess = _parse_inline(args.guess, "--guess")
+    if guess is not None and not np.all(np.isfinite(guess)):
+        raise InputError("guess must be finite")
     if coeffs is None:
         raise InputError("no polynomial given: use --coeffs or --input")
     try:

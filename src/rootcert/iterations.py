@@ -1,10 +1,12 @@
 """One iteration step of each simultaneous root-finding method.
 
-Every production step is a map of (x, W) with W = W_f(x): Weierstrass,
+Every production step is a map of (x, W, D) with W = W_f(x) and D the
+pairwise-difference matrix of x that W was reduced from: Weierstrass,
 Ehrlich in the Boersch-Supan form and Presic-Tanabe.  Dochev-Byrnev runs
 through the Tanabe map, since the two methods are identical.  The public
-``*_step(f, x)`` functions measure W and apply the same map; each maps an
-exact root vector to itself bitwise, since W then evaluates to exactly zero.
+``*_step(f, x)`` functions compute W and D as ``measure`` does and apply
+the same map; each maps an exact root vector to itself bitwise, since W
+then evaluates to exactly zero.
 The algebraically identical reference forms live in ``rootcert.oracle``.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain
-from .measures import weierstrass_correction
+from .measures import corrections, sigmas
 from .polynomials import Polynomial
 
 
@@ -33,21 +35,12 @@ class StepResult:
     corrections: np.ndarray  # W_f(x) at the input point
 
 
-def _sigmas(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sigma_i(x) = sum over j != i of W_j / (x_i - x_j), all i at once."""
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratio = w[None, :] / diff
-    np.fill_diagonal(ratio, 0.0)
-    return ratio.sum(axis=1)
-
-
-def _weierstrass(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weierstrass(x: np.ndarray, w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return x - w
 
 
-def _ehrlich(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    den = 1.0 + _sigmas(w, x)
+def _ehrlich(x: np.ndarray, w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    den = 1.0 + sigmas(w, diff)
     bad = np.abs(den) < 1e-14 * (1.0 + np.abs(x))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -55,14 +48,14 @@ def _ehrlich(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x - w / den
 
 
-def _tanabe(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return x - w * (1.0 - _sigmas(w, x))
+def _tanabe(x: np.ndarray, w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    return x - w * (1.0 - sigmas(w, diff))
 
 
 def _step(step_map, f: Polynomial, x) -> StepResult:
     x = np.asarray(x, dtype=np.complex128)
-    w = weierstrass_correction(f, x)
-    return StepResult(image=step_map(x, w), corrections=w)
+    w, _, diff = corrections(f, x)
+    return StepResult(image=step_map(x, w, diff), corrections=w)
 
 
 def weierstrass_step(f: Polynomial, x) -> StepResult:
@@ -89,5 +82,6 @@ _STEP_MAPS = {
 
 
 def step_function(method: MethodKind):
-    """The map (x, W_f(x)) -> next iterate used by the solver for a method."""
+    """The map (x, W_f(x), differences(x)) -> next iterate used by the
+    solver for a method."""
     return _STEP_MAPS[method]

@@ -3,12 +3,14 @@ initial-condition measure E_f together with its p-norm machinery.
 
 ``measure`` is the only place where W, d and E are computed; the public
 ``weierstrass_correction`` and ``e_measure`` read the same computation.
+Each of d, W and sigma is a reduction of one pairwise-difference matrix
+per point vector, built by ``differences``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,50 +66,75 @@ def p_norm(v, p: float) -> float:
     return m * float(np.sum((v / m) ** p)) ** (1.0 / p)
 
 
-def separation(x) -> np.ndarray:
-    """d_i(x) = min over j != i of |x_i - x_j|; zero entries signal
-    coinciding components and are left for the caller to reject."""
+def differences(x) -> np.ndarray:
+    """D[j, i] = x_i - x_j, with a unit diagonal.
+
+    Every reduction over j runs along axis 0, where numpy combines whole
+    contiguous rows; along axis 1 it reduces complex products one row at
+    a time in a scalar loop, several times slower.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    diff = x[None, :] - x[:, None]
+    np.fill_diagonal(diff, 1.0)
+    return diff
+
+
+def separation(x, diff=None) -> np.ndarray:
+    """d_i(x) = min over j != i of |x_i - x_j|, read from diff =
+    differences(x) when given; zero entries signal coinciding components
+    and are left for the caller to reject."""
     x = np.asarray(x, dtype=np.complex128)
     if x.size < 2:
         raise ValueError("need at least 2 components")
-    diff = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return diff.min(axis=1)
+    gaps = np.abs(differences(x) if diff is None else diff)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=0)
+
+
+def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """sigma_i = sum over j != i of W_j / (x_i - x_j), all i at once,
+    from W and diff = differences(x)."""
+    ratio = w[:, None] / diff
+    np.fill_diagonal(ratio, 0.0)
+    return ratio.sum(axis=0)
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """W_f(x), d(x) and E_f(x) = ||W_f(x) / d(x)||_p at one point vector x."""
+    """W_f(x), d(x) and E_f(x) = ||W_f(x) / d(x)||_p at one point vector x,
+    with the matrix diff = differences(x) they were reduced from (None
+    when the measurement was put together by hand)."""
 
     w: np.ndarray
     d: np.ndarray
     E: float
+    diff: np.ndarray | None = field(default=None, repr=False)
 
 
-def _corrections(f: Polynomial, x) -> tuple:
-    """(W_f(x), d(x)) after checking that x has deg f distinct components."""
+def corrections(f: Polynomial, x) -> tuple:
+    """(W_f(x), d(x), differences(x)) after checking that x has deg f
+    distinct components."""
     x = np.asarray(x, dtype=np.complex128)
-    d = separation(x)
+    diff = differences(x)
+    d = separation(x, diff)
     if np.any(d == 0.0):
         i = int(np.argmin(d))
         raise NonDistinctComponents(f"components coincide (index {i})")
     if x.size != f.degree:
         raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=1)), d
+    return evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0)), d, diff
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The one evaluation of W, d and E at x that a step, a trace entry,
     a certificate and a set of disks all read."""
-    w, d = _corrections(f, x)
-    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p))
+    w, d, diff = corrections(f, x)
+    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
     """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j))."""
-    return _corrections(f, x)[0]
+    return corrections(f, x)[0]
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:

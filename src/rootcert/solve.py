@@ -133,7 +133,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                            order_estimate=None)
 
     while not converged and len(trace.iterates) <= cfg.max_iter:
-        x = step(x, m.w)
+        x = step(x, m.w, m.diff)
         m = measure(f, x, ctx)
         converged = record(x, m)
 

@@ -12,6 +12,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     return code, json.loads(out), err
@@ -193,6 +197,36 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "input error" in err
+
+    @pytest.mark.parametrize("subcommand", ["certify", "disks"])
+    @pytest.mark.parametrize("guess", ["nan,-2", "inf,-2"])
+    def test_non_finite_guess_is_input_error(self, capsys, subcommand, guess):
+        code, out, err = run_cli(capsys, subcommand, "--coeffs", "1,0,-1",
+                                 "--guess", guess, "--json")
+        assert code == 1
+        assert "input error" in err
+        assert out == ""
+
+    def test_non_finite_guess_in_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"coeffs": [{"re": 1, "im": 0}, {"re": 0, "im": 0}, '
+                        '{"re": -1, "im": 0}], "guess": [{"re": NaN, "im": 0}, '
+                        '{"re": -2, "im": 0}]}')
+        code, _, err = run_cli(capsys, "certify", "--input", str(path))
+        assert code == 1
+        assert "input error" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("subcommand", ["solve", "certify"])
+    def test_overflowing_measure_prints_valid_json(self, capsys, subcommand):
+        # f overflows at this finite guess, so E0 is not finite; the JSON
+        # writes it as null
+        code, out, _ = run_cli(capsys, subcommand, "--coeffs", "1,0,-1",
+                               "--guess", "1e300,-1e300", "--json")
+        assert code == 2
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["certificate"]["issued"] is False
+        assert data["certificate"]["E0"] is None
 
     def test_domain_error_reported(self, capsys):
         # z^2 + 3 at (1, -1): the Ehrlich denominator vanishes

@@ -12,14 +12,22 @@ from rootcert import (
     NonDistinctComponents,
     Polynomial,
     cone_norm,
+    default_init,
+    dochev_byrnev_step,
     e_measure,
+    ehrlich_step_bs,
+    ehrlich_step_newton,
+    evaluate,
     from_roots,
+    measure,
     norm_context,
     p_norm,
     separation,
     sigma_sum,
+    tanabe_step,
     weierstrass_correction,
 )
+from rootcert.measures import sigmas
 from conftest import random_distinct_points, random_monic
 
 INF = math.inf
@@ -176,3 +184,55 @@ def test_p_monotonicity_max_le_sum(seed):
     e_inf = e_measure(f, x, norm_context(n, INF))
     e_one = e_measure(f, x, norm_context(n, 1))
     assert e_inf <= e_one * (1 + 1e-14)
+
+
+# The pairwise kernel at degree 128 against plain per-component loops and
+# the reference forms, at the Aberth start and at a point near the roots.
+KAC_N = 128
+
+
+@pytest.fixture(scope="module", params=["default_init", "near_root"])
+def kac_point(request):
+    f = random_monic(KAC_N, np.random.default_rng(1280))
+    if request.param == "default_init":
+        return f, default_init(f)
+    rng = np.random.default_rng(1281)
+    return f, np.roots(f.coeffs) + 1e-6 * np.exp(2j * np.pi * rng.uniform(size=KAC_N))
+
+
+def test_kernel_w_and_d_match_loops(kac_point):
+    f, x = kac_point
+    m = measure(f, x, norm_context(KAC_N, INF))
+    fx = evaluate(f, x)
+    w_loop = np.empty(KAC_N, dtype=complex)
+    d_loop = np.empty(KAC_N)
+    for i in range(KAC_N):
+        prod, dmin = 1.0 + 0.0j, math.inf
+        for j in range(KAC_N):
+            if j != i:
+                prod *= complex(x[i]) - complex(x[j])
+                dmin = min(dmin, abs(complex(x[i]) - complex(x[j])))
+        w_loop[i] = complex(fx[i]) / (f.leading * prod)
+        d_loop[i] = dmin
+    np.testing.assert_allclose(m.w, w_loop, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m.d, d_loop, rtol=1e-12, atol=0)
+
+
+def test_kernel_sigma_matches_oracle(kac_point):
+    f, x = kac_point
+    m = measure(f, x, norm_context(KAC_N, INF))
+    got = sigmas(m.w, m.diff)
+    for i in range(KAC_N):
+        others = np.arange(KAC_N) != i
+        scale = np.sum(np.abs(m.w[others] / (x[i] - x[others])))
+        assert abs(got[i] - sigma_sum(m.w, x, i, x[i])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("step, reference", [
+    (ehrlich_step_bs, ehrlich_step_newton),
+    (tanabe_step, dochev_byrnev_step),
+])
+def test_kernel_steps_match_reference_forms(kac_point, step, reference):
+    f, x = kac_point
+    np.testing.assert_allclose(step(f, x).image, reference(f, x).image,
+                               rtol=1e-10, atol=0)
