@@ -36,7 +36,6 @@ class GaugeBundle:
     mu: Callable[[float], float]
     beta: Callable[[float], float]
     phi: Callable[[float], float]
-    m: int = 2
     r: int = 3
 
 
@@ -190,23 +189,9 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
     return certificate_at(bundle, measure(f, x0, bundle.ctx))
 
 
-# Powers lambda**(3**k) underflow long before k reaches this cap; beyond it
-# they are clamped to 0 (lambda < 1) or kept at 1 (lambda == 1).
+# Powers lambda**(3**k) underflow to 0 (lambda < 1) or stay 1 (lambda == 1)
+# long before k reaches this cap; capping k keeps 3.0**k finite.
 _K_CAP = 40
-
-
-def _power(lam: float, exponent: float) -> float:
-    """lam**exponent in log space, with underflow clamped to 0."""
-    if exponent == 0.0:
-        return 1.0
-    if lam == 0.0:
-        return 0.0
-    if lam == 1.0:
-        return 1.0
-    log_val = exponent * math.log(lam)
-    if log_val < -745.0:  # below exp() underflow
-        return 0.0
-    return math.exp(log_val)
 
 
 def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
@@ -218,8 +203,8 @@ def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
     w0_norm = np.asarray(w0_norm, dtype=float)
     kc = min(k, _K_CAP)
     s_k = (3.0 ** kc - 1.0) / 2.0
-    lam_s = _power(cert.lam, s_k)
-    lam_r = _power(cert.lam, 3.0 ** kc)
+    lam_s = cert.lam ** s_k
+    lam_r = cert.lam ** (3.0 ** kc)
     # gamma evaluated at E0 * lambda**S_k, which stays inside [0, tau)
     a_k = cert.bundle.gamma(cert.E0 * lam_s)
     return a_k * (cert.theta ** k) * lam_s / (1.0 - cert.theta * lam_r) * w0_norm
@@ -249,7 +234,7 @@ def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     if not cert.issued:
         raise NotCertified("contraction bound needs an issued certificate")
     wk_norm = np.asarray(wk_norm, dtype=float)
-    lam_r = _power(cert.lam, 3.0 ** min(k, _K_CAP))
+    lam_r = cert.lam ** (3.0 ** min(k, _K_CAP))
     return cert.theta * lam_r * wk_norm
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EvaluationPointCollision, OutsideDomain, SingularJacobian
 from .iterations import StepResult
-from .measures import weierstrass_correction
+from .measures import separation, weierstrass_correction
 from .polynomials import (
     Polynomial,
     coeff_vector,
@@ -47,9 +47,7 @@ def known_instance(roots, perturbation: float, seed: int):
         radii = perturbation * np.sqrt(rng.uniform(size=roots.size))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=roots.size)
         x0 = roots + radii * np.exp(1j * angles)
-        diff = np.abs(x0[:, None] - x0[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() > 0.0:
+        if separation(x0).min() > 0.0:
             return f, x0
 
 
@@ -112,14 +110,11 @@ def match_roots(found, truth) -> MatchedRoots:
     n = found.size
     dist = np.abs(truth[:, None] - found[None, :])
     if n <= 8:
-        best_perm = None
-        best_err = np.inf
-        for perm in itertools.permutations(range(n)):
-            err = max(dist[i, perm[i]] for i in range(n))
-            if err < best_err:
-                best_err = err
-                best_perm = perm
-        return MatchedRoots(tuple(best_perm), float(best_err))
+        # argmin takes the first minimum in permutations order
+        perms = np.array(list(itertools.permutations(range(n))))
+        errs = dist[np.arange(n), perms].max(axis=1)
+        best = int(np.argmin(errs))
+        return MatchedRoots(tuple(int(j) for j in perms[best]), float(errs[best]))
     taken = set()
     perm = []
     for i in range(n):
@@ -162,14 +157,13 @@ def ehrlich_step_newton(f: Polynomial, x) -> StepResult:
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, np.inf)
     recip_sums = (1.0 / diff).sum(axis=1)
-    image = np.empty_like(x)
-    for i in range(x.size):
-        fx, dfx, _ = evaluate_with_derivatives(f, x[i])
-        den = dfx - fx * recip_sums[i]
-        if abs(den) < 1e-14 * (abs(dfx) + abs(fx * recip_sums[i])):
-            raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")
-        image[i] = x[i] - fx / den
-    return StepResult(image=image, corrections=w)
+    fx, dfx, _ = evaluate_with_derivatives(f, x)
+    den = dfx - fx * recip_sums
+    vanishes = np.abs(den) < 1e-14 * (np.abs(dfx) + np.abs(fx * recip_sums))
+    if np.any(vanishes):
+        i = int(np.argmax(vanishes))
+        raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")
+    return StepResult(image=x - fx / den, corrections=w)
 
 
 def dochev_byrnev_step(f: Polynomial, x) -> StepResult:
@@ -186,6 +180,6 @@ def dochev_byrnev_step(f: Polynomial, x) -> StepResult:
     gprime = f.coeffs[0] * np.prod(diff, axis=1)
     np.fill_diagonal(diff, np.inf)
     g2_over_g1 = 2.0 * (1.0 / diff).sum(axis=1)
-    dfx = np.array([evaluate_with_derivatives(f, xi)[1] for xi in x])
+    dfx = evaluate_with_derivatives(f, x)[1]
     image = x - w * (2.0 - dfx / gprime + 0.5 * w * g2_over_g1)
     return StepResult(image=image, corrections=w)

@@ -52,29 +52,23 @@ class Polynomial:
 def evaluate(f: Polynomial, z):
     """Evaluate f at z (scalar or array) by Horner's scheme."""
     z = np.asarray(z, dtype=np.complex128)
-    if z.ndim == 0:
-        # scalar path shared with evaluate_with_derivatives, so both agree
-        # bitwise (numpy's scalar and array ufunc loops can round differently)
-        p = f.coeffs[0]
-        for c in f.coeffs[1:]:
-            p = p * z[()] + c
-        return p
     acc = np.full(z.shape, f.coeffs[0])
     for c in f.coeffs[1:]:
         acc = acc * z + c
     return acc
 
 
-def evaluate_with_derivatives(f: Polynomial, z: complex):
-    """Return (f(z), f'(z), f''(z)) by synthetic-division Horner.
+def evaluate_with_derivatives(f: Polynomial, z):
+    """Return (f(z), f'(z), f''(z)) at z (scalar or array) by
+    synthetic-division Horner.
 
     The first component is computed by the same recurrence as
     :func:`evaluate`, so both agree bitwise.
     """
-    z = np.complex128(z)
-    p = f.coeffs[0]
-    dp = np.complex128(0.0)
-    d2p = np.complex128(0.0)
+    z = np.asarray(z, dtype=np.complex128)
+    p = np.full(z.shape, f.coeffs[0])
+    dp = np.zeros(z.shape, dtype=np.complex128)
+    d2p = np.zeros(z.shape, dtype=np.complex128)
     for c in f.coeffs[1:]:
         d2p = d2p * z + 2.0 * dp
         dp = dp * z + p
@@ -87,8 +81,6 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
 
     Repeated roots are allowed; the product is well-defined either way.
     """
-    if leading == 0:
-        raise LeadingCoefficientZero("leading coefficient is zero")
     return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 

@@ -98,6 +98,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     certificate on failure; the returned bounds and disks are then backed
     by the semilocal theory.  Each iterate is measured once, and that
     measurement feeds the step, the trace, the certificate and the disks.
+    The run stops unconverged at the first iterate whose E is not finite.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     if x0.size != f.degree:
@@ -132,7 +133,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                            disks=[], disjoint=False, converged=False,
                            order_estimate=None)
 
-    while not converged and len(trace.iterates) <= cfg.max_iter:
+    while not converged and math.isfinite(m.E) and len(trace.iterates) <= cfg.max_iter:
         x = step(x, m.w, m.diff)
         m = measure(f, x, ctx)
         converged = record(x, m)

@@ -30,7 +30,7 @@ from rootcert import (
     w_contraction_bound,
     weierstrass_correction,
 )
-from rootcert.certify import disks_at
+from rootcert.certify import _K_CAP, disks_at
 from conftest import well_separated_roots
 
 INF = math.inf
@@ -199,6 +199,20 @@ class TestBounds:
         cert = certify_initial(F, [1.0, -1.0], self.bundle)
         np.testing.assert_array_equal(w_contraction_bound(cert, self.w0, 2),
                                       0 * self.w0)
+
+
+@pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV])
+def test_bounds_over_k_shrink_to_zero(method):
+    # finite and non-increasing in k, and exactly 0 once k passes the cap
+    f, x, _, bundle = certified_instance(5, method, np.random.default_rng(12))
+    cert = certify_initial(f, x, bundle)
+    assert cert.issued and cert.lam < 1
+    w0 = np.abs(weierstrass_correction(f, x))
+    for bound in (a_priori_bound, w_contraction_bound):
+        b = np.array([bound(cert, w0, k) for k in range(61)])
+        assert np.all(np.isfinite(b))
+        assert np.all(np.diff(b, axis=0) <= 0)
+        assert np.all(b[_K_CAP + 1:] == 0)
 
 
 class TestDisks:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,20 @@ class TestMatchRoots:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             match_roots([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exhaustive_equals_permutation_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3 if n == 8 else 12):
+            # points on a coarse grid, so many pairings tie
+            truth = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            found = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            dist = np.abs(truth[:, None] - found[None, :])
+            best_perm, best_err = None, np.inf
+            for perm in itertools.permutations(range(n)):
+                err = max(dist[i, perm[i]] for i in range(n))
+                if err < best_err:
+                    best_perm, best_err = perm, err
+            m = match_roots(found, truth)
+            assert m.permutation == best_perm
+            assert m.max_abs_error == best_err

@@ -50,6 +50,19 @@ def test_derivatives_first_component_bitwise_equals_evaluate():
         assert p == evaluate(f, z)
 
 
+def test_derivatives_on_array_match_scalar_calls():
+    rng = np.random.default_rng(4)
+    coeffs = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
+    f = Polynomial(coeffs)
+    z = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
+    got = evaluate_with_derivatives(f, z)
+    want = np.array([evaluate_with_derivatives(f, zi) for zi in z]).T
+    for g, w in zip(got, want):
+        assert g.shape == z.shape
+        np.testing.assert_allclose(g, w, rtol=1e-15)
+    np.testing.assert_array_equal(got[0], evaluate(f, z))
+
+
 def test_derivatives_against_finite_differences():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)

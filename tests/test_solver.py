@@ -231,6 +231,15 @@ def test_non_finite_start_rejected():
             solve(F, [bad, -2.0], SolveConfig(require_certificate=False))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_measure_stops_the_run():
+    # f overflows at this finite start, so E is not finite from x0 on
+    res = solve(F, [1e300, -1e300], SolveConfig(require_certificate=False))
+    assert not math.isfinite(res.trace.e_values[0])
+    assert res.iterations == 0 and not res.converged
+    np.testing.assert_array_equal(res.final, [1e300, -1e300])
+
+
 @pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.TANABE,
                                     MethodKind.DOCHEV_BYRNEV])
 def test_one_measurement_per_iterate(method, monkeypatch):
