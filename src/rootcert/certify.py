@@ -1,22 +1,22 @@
 """Semilocal certification engine.
 
-Per-method gauge bundles (gamma, psi, mu, beta, phi with domain bound tau),
-initial-condition certificates, a priori / a posteriori error bounds,
-W-contraction bounds, inclusion disks and the ready-made corollary
-thresholds.
+Per-method gauge bundles (tau, gamma, psi and beta in closed form; mu and
+phi follow from the general theorem), initial-condition certificates, a
+priori / a posteriori error bounds, W-contraction bounds, inclusion disks
+and the ready-made corollary thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, differences, e_measure, measure
+from .measures import Measurement, NormContext, e_measure, measure
 from .polynomials import Polynomial
 
 
@@ -24,8 +24,9 @@ from .polynomials import Polynomial
 class GaugeBundle:
     """Real gauge functions controlling one method's semilocal theory.
 
-    beta is quasi-homogeneous of degree m = 2, which makes the certified
-    convergence order r = m + 1 = 3.
+    Each method gives tau, gamma, psi and beta; mu and phi follow from
+    the general theorem.  beta is quasi-homogeneous of degree m = 2,
+    which makes the certified convergence order r = m + 1 = 3.
     """
 
     method: MethodKind
@@ -33,10 +34,14 @@ class GaugeBundle:
     tau: float
     gamma: Callable[[float], float]
     psi: Callable[[float], float]
-    mu: Callable[[float], float]
     beta: Callable[[float], float]
-    phi: Callable[[float], float]
     r: int = 3
+
+    def mu(self, t: float) -> float:
+        return 1.0 - t * self.gamma(t)
+
+    def phi(self, t: float) -> float:
+        return self.beta(t) / self.psi(t)
 
 
 def _finite_or_none(v: float):
@@ -97,20 +102,12 @@ def _ehrlich_bundle(ctx: NormContext) -> GaugeBundle:
     def psi(t):
         return (1.0 - (a + b) * t) / (1.0 - a * t)
 
-    def mu(t):
-        return (1.0 - (a + 1.0) * t) / (1.0 - a * t)
-
     def beta(t):
         core = a * t * t / ((1.0 - a * t) * (1.0 - (a + 1.0) * t))
         bump = (1.0 + a * t / ((n - 1) * (1.0 - (a + b) * t))) ** (n - 1)
         return core * bump
 
-    def phi(t):
-        core = a * t * t / ((1.0 - (a + 1.0) * t) * (1.0 - (a + b) * t))
-        bump = (1.0 + a * t / ((n - 1) * (1.0 - (a + b) * t))) ** (n - 1)
-        return core * bump
-
-    return GaugeBundle(MethodKind.EHRLICH, ctx, tau, gamma, psi, mu, beta, phi)
+    return GaugeBundle(MethodKind.EHRLICH, ctx, tau, gamma, psi, beta)
 
 
 def _dochev_byrnev_bundle(ctx: NormContext) -> GaugeBundle:
@@ -123,9 +120,6 @@ def _dochev_byrnev_bundle(ctx: NormContext) -> GaugeBundle:
     def psi(t):
         return 1.0 - b * t - a * b * t * t
 
-    def mu(t):
-        return 1.0 - t - a * t * t
-
     def beta(t):
         core = (a * t * t * (1.0 + a * t) * (1.0 + a + a * t)
                 / ((1.0 - a * t) * (1.0 - t - a * t * t)))
@@ -133,10 +127,7 @@ def _dochev_byrnev_bundle(ctx: NormContext) -> GaugeBundle:
                 / ((n - 1) * (1.0 - b * t - a * b * t * t))) ** (n - 1)
         return core * bump
 
-    def phi(t):
-        return beta(t) / psi(t)
-
-    return GaugeBundle(MethodKind.DOCHEV_BYRNEV, ctx, tau, gamma, psi, mu, beta, phi)
+    return GaugeBundle(MethodKind.DOCHEV_BYRNEV, ctx, tau, gamma, psi, beta)
 
 
 def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
@@ -148,31 +139,15 @@ def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
     raise UnsupportedCombination("no certification for the Weierstrass method")
 
 
-def conditions(bundle: GaugeBundle, e: float) -> Tuple[bool, float]:
-    """Whether E < tau and phi(E) <= 1 hold at E = e, together with phi(e);
-    phi is inf where e >= tau or e is NaN."""
-    phi = bundle.phi(e) if e < bundle.tau else math.inf
-    return phi <= 1.0, phi
-
-
-def _require(bundle: GaugeBundle, m: Measurement, where: str) -> float:
-    holds, phi = conditions(bundle, m.E)
-    if not holds:
-        raise NotCertified(f"conditions fail at {where} (E = {m.E:.6g})")
-    return phi
-
-
-def _radii(bundle: GaugeBundle, m: Measurement) -> np.ndarray:
-    """gamma(E)/(1 - beta(E)) * |W_i| componentwise."""
-    return bundle.gamma(m.E) / (1.0 - bundle.beta(m.E)) * np.abs(m.w)
-
-
 def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
-    """The certificate for the point whose measurement is m."""
-    issued, phi0 = conditions(bundle, m.E)
+    """The certificate for the point whose measurement is m: issued when
+    E < tau and phi(E) <= 1, with phi(E) = inf where E >= tau or is NaN."""
+    phi0 = bundle.phi(m.E) if m.E < bundle.tau else math.inf
+    issued = phi0 <= 1.0
     strict = issued and phi0 < 1.0
     if issued:
-        lam, theta, rho = phi0, bundle.psi(m.E), _radii(bundle, m)
+        lam, theta = phi0, bundle.psi(m.E)
+        rho = bundle.gamma(m.E) / (1.0 - bundle.beta(m.E)) * np.abs(m.w)
     else:
         lam, theta, rho = math.nan, math.nan, None
     return Certificate(method=bundle.method, ctx=bundle.ctx, E0=m.E,
@@ -189,6 +164,12 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
     return certificate_at(bundle, measure(f, x0, bundle.ctx))
 
 
+def _issued(cert: Certificate, what: str) -> Certificate:
+    if not cert.issued:
+        raise NotCertified(f"{what} needs an issued certificate (E = {cert.E0:.6g})")
+    return cert
+
+
 # Powers lambda**(3**k) underflow to 0 (lambda < 1) or stay 1 (lambda == 1)
 # long before k reaches this cap; capping k keeps 3.0**k finite.
 _K_CAP = 40
@@ -196,8 +177,7 @@ _K_CAP = 40
 
 def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
     """Componentwise error bound at iterate k computed from x0 alone."""
-    if not cert.issued:
-        raise NotCertified("a priori bound needs an issued certificate")
+    _issued(cert, "a priori bound")
     if k < 0:
         raise ValueError("k must be >= 0")
     w0_norm = np.asarray(w0_norm, dtype=float)
@@ -212,42 +192,36 @@ def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
 
 def a_posteriori_bound_1(f: Polynomial, xk, bundle: GaugeBundle) -> np.ndarray:
     """gamma(E_k)/(1 - beta(E_k)) * |W_i(xk)| componentwise."""
-    m = measure(f, xk, bundle.ctx)
-    _require(bundle, m, "xk")
-    return _radii(bundle, m)
+    return _issued(certify_initial(f, xk, bundle), "a posteriori bound").rho
 
 
 def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndarray:
     """Second a posteriori estimate, bounding the error at xk1 = T(xk)."""
     m = measure(f, xk, bundle.ctx)
-    lam_k = _require(bundle, m, "xk")
-    theta_k = bundle.psi(m.E)
+    cert = _issued(certificate_at(bundle, m), "a posteriori bound")
     ek1 = e_measure(f, xk1, bundle.ctx)
     if not ek1 < bundle.tau:
         raise NotCertified(f"conditions fail at xk1 (E = {ek1:.6g})")
-    factor = theta_k * lam_k / (1.0 - theta_k * lam_k ** 3)
+    factor = cert.theta * cert.lam / (1.0 - cert.theta * cert.lam ** 3)
     return factor * bundle.gamma(ek1) * np.abs(m.w)
 
 
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     """Bound on |W_i| after one more step: theta * lambda**(3**k) * |W_i(xk)|."""
-    if not cert.issued:
-        raise NotCertified("contraction bound needs an issued certificate")
+    _issued(cert, "contraction bound")
     wk_norm = np.asarray(wk_norm, dtype=float)
     lam_r = cert.lam ** (3.0 ** min(k, _K_CAP))
     return cert.theta * lam_r * wk_norm
 
 
-def disks_at(x: np.ndarray, bundle: GaugeBundle, m: Measurement):
-    """Inclusion disks at x, whose measurement is m; see inclusion_disks."""
-    phi = _require(bundle, m, "xk")
-    radii = _radii(bundle, m)
+def disks_at(x: np.ndarray, cert: Certificate, diff: np.ndarray):
+    """Inclusion disks at x from its certificate cert and diff =
+    differences(x); see inclusion_disks."""
+    radii = _issued(cert, "inclusion disks").rho
     disks = [Disk(complex(c), float(r)) for c, r in zip(x, radii)]
-    diff = differences(x) if m.diff is None else m.diff
     close = np.abs(diff) <= radii[:, None] + radii[None, :]
     np.fill_diagonal(close, False)
-    overlap = np.any(close)
-    return disks, bool(phi < 1.0 and not overlap)
+    return disks, bool(cert.strict and not np.any(close))
 
 
 def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
@@ -257,8 +231,8 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     under the strict condition phi < 1; the pairwise numeric check is kept
     as belt and braces.
     """
-    xk = np.asarray(xk, dtype=np.complex128)
-    return disks_at(xk, bundle, measure(f, xk, bundle.ctx))
+    m = measure(f, xk, bundle.ctx)
+    return disks_at(xk, certificate_at(bundle, m), m.diff)
 
 
 def solve_R() -> float:

@@ -4,7 +4,7 @@ Subcommands: solve, certify, disks, thresholds.  Polynomials come either
 from --coeffs (comma-separated reals, leading-first) or from a JSON file
 with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]}.
 Exit status: 0 on success, 2 on an unissued certificate in
-require-certificate mode, 1 on input errors.
+require-certificate mode, 1 on input and usage errors.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ def _complex_from_json(obj) -> complex:
         raise InputError(f"bad complex entry {obj!r}: {exc}") from None
 
 
+def _complex_list(entries) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise InputError(f"expected a list of complex entries, got {entries!r}")
+    return np.array([_complex_from_json(c) for c in entries])
+
+
 def _parse_inline(text: str, what: str) -> np.ndarray:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -62,11 +68,11 @@ def _load_request(args) -> tuple:
             data = json.loads(Path(args.input).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
-        if "coeffs" not in data:
-            raise InputError(f"{args.input}: missing field 'coeffs'")
-        coeffs = np.array([_complex_from_json(c) for c in data["coeffs"]])
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise InputError(f"{args.input}: not an object with a field 'coeffs'")
+        coeffs = _complex_list(data["coeffs"])
         if data.get("guess") is not None:
-            guess = np.array([_complex_from_json(c) for c in data["guess"]])
+            guess = _complex_list(data["guess"])
     if getattr(args, "coeffs", None):
         coeffs = _parse_inline(args.coeffs, "--coeffs")
     if getattr(args, "guess", None):
@@ -209,8 +215,14 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1 like any input error; 2 means "not issued"
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootcert",
         description="Simultaneous polynomial root-finding with convergence "
                     "certificates")
@@ -258,9 +270,8 @@ def _run_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "batch", None):
             return _run_batch(args)
         return args.func(args)

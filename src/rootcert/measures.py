@@ -102,13 +102,12 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Measurement:
     """W_f(x), d(x) and E_f(x) = ||W_f(x) / d(x)||_p at one point vector x,
-    with the matrix diff = differences(x) they were reduced from (None
-    when the measurement was put together by hand)."""
+    with the matrix diff = differences(x) they were reduced from."""
 
     w: np.ndarray
     d: np.ndarray
     E: float
-    diff: np.ndarray | None = field(default=None, repr=False)
+    diff: np.ndarray = field(repr=False)
 
 
 def corrections(f: Polynomial, x) -> tuple:

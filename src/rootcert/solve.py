@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certify import Certificate, Disk, certificate_at, conditions, disks_at, gauge_bundle
+from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
 from .measures import measure, norm_context
@@ -140,8 +140,10 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     disks: List[Disk] = []
     disjoint = False
-    if certificate is not None and certificate.issued and conditions(bundle, m.E)[0]:
-        disks, disjoint = disks_at(x, bundle, m)
+    if certificate is not None and certificate.issued:
+        at_final = certificate_at(bundle, m)
+        if at_final.issued:
+            disks, disjoint = disks_at(x, at_final, m.diff)
 
     return SolveResult(trace=trace, certificate=certificate, final=x,
                        disks=disks, disjoint=disjoint, converged=converged,

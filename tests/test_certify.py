@@ -12,6 +12,7 @@ from rootcert import (
     MethodKind,
     NotCertified,
     Polynomial,
+    SolveConfig,
     UnsupportedCombination,
     a_posteriori_bound_1,
     a_posteriori_bound_2,
@@ -26,11 +27,13 @@ from rootcert import (
     inclusion_disks,
     norm_context,
     separation,
+    solve,
     solve_R,
     w_contraction_bound,
     weierstrass_correction,
 )
-from rootcert.certify import _K_CAP, disks_at
+from rootcert.certify import _K_CAP, certificate_at, disks_at
+from rootcert.measures import differences
 from conftest import well_separated_roots
 
 INF = math.inf
@@ -102,6 +105,25 @@ class TestGaugeBundles:
             assert b.mu(t) == pytest.approx(1 - t * g, rel=1e-13, abs=1e-15)
             assert b.phi(t) * b.psi(t) == pytest.approx(b.beta(t), rel=1e-13,
                                                         abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_mu_phi_match_closed_forms(self, p, n):
+        # mu and phi come from the general theorem; the paper's closed
+        # forms are the independent reference
+        ctx = norm_context(n, p)
+        a, b = ctx.a, ctx.b
+        eh = gauge_bundle(MethodKind.EHRLICH, ctx)
+        for t in np.linspace(0, eh.tau, 200, endpoint=False):
+            bump = (1 + a * t / ((n - 1) * (1 - (a + b) * t))) ** (n - 1)
+            phi = a * t * t / ((1 - (a + 1) * t) * (1 - (a + b) * t)) * bump
+            assert eh.mu(t) == pytest.approx((1 - (a + 1) * t) / (1 - a * t),
+                                             rel=1e-13, abs=1e-15)
+            assert eh.phi(t) == pytest.approx(phi, rel=1e-13, abs=1e-15)
+        db = gauge_bundle(MethodKind.DOCHEV_BYRNEV, ctx)
+        for t in np.linspace(0, db.tau, 200, endpoint=False):
+            assert db.mu(t) == pytest.approx(1 - t - a * t * t, rel=1e-13,
+                                             abs=1e-15)
 
     @pytest.mark.parametrize("method", [MethodKind.EHRLICH,
                                         MethodKind.DOCHEV_BYRNEV])
@@ -195,6 +217,13 @@ class TestBounds:
         want = self.bundle.beta(self.cert.E0) * self.w0
         np.testing.assert_allclose(bound, want, rtol=1e-14)
 
+    def test_unissued_certificate_raises(self):
+        cert = certify_initial(F, [0.6, -0.6], self.bundle)
+        with pytest.raises(NotCertified):
+            w_contraction_bound(cert, self.w0, 1)
+        with pytest.raises(NotCertified):
+            a_posteriori_bound_2(F, [0.6, -0.6], X, self.bundle)
+
     def test_w_contraction_zero_lambda(self):
         cert = certify_initial(F, [1.0, -1.0], self.bundle)
         np.testing.assert_array_equal(w_contraction_bound(cert, self.w0, 2),
@@ -213,6 +242,20 @@ def test_bounds_over_k_shrink_to_zero(method):
         assert np.all(np.isfinite(b))
         assert np.all(np.diff(b, axis=0) <= 0)
         assert np.all(b[_K_CAP + 1:] == 0)
+
+
+@pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV])
+def test_one_certificate_one_rho(method):
+    # the bound, the certificate and the disks read the same radii
+    f, x, _, bundle = certified_instance(6, method, np.random.default_rng(31))
+    rho = a_posteriori_bound_1(f, x, bundle)
+    np.testing.assert_array_equal(rho, certify_initial(f, x, bundle).rho)
+    disks, _ = inclusion_disks(f, x, bundle)
+    np.testing.assert_array_equal([d.radius for d in disks], rho)
+    res = solve(f, x, SolveConfig(method=method))
+    assert res.disks
+    np.testing.assert_array_equal([d.radius for d in res.disks],
+                                  a_posteriori_bound_1(f, res.final, bundle))
 
 
 class TestDisks:
@@ -257,7 +300,8 @@ class TestDisks:
         x = rng.permutation(n) + 0j
         w = rng.choice([0.25, 0.5], size=n) + 0j
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
-        disks, disjoint = disks_at(x, b, Measurement(w=w, d=separation(x), E=0.0))
+        m = Measurement(w=w, d=separation(x), E=0.0, diff=differences(x))
+        disks, disjoint = disks_at(x, certificate_at(b, m), m.diff)
         radii = [d.radius for d in disks]
         want = all(abs(x[i] - x[j]) > radii[i] + radii[j]
                    for i in range(n) for j in range(i + 1, n))

@@ -228,6 +228,38 @@ class TestInputHandling:
         assert data["certificate"]["issued"] is False
         assert data["certificate"]["E0"] is None
 
+    @pytest.mark.parametrize("content", [
+        "5",
+        "null",
+        '{"coeffs": 5}',
+        '{"coeffs": [{"re": 1, "im": 0}, {"re": -1, "im": 0}], "guess": 7}',
+    ])
+    def test_malformed_json_is_input_error(self, capsys, tmp_path, content):
+        path = tmp_path / "req.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert "input error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--coeffs", "1,0,-1", "--method", "foo"],
+        ["solve", "--coeffs", "1,0,-1", "--max-iter", "abc"],
+        ["thresholds", "--n", "x"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "input error" in err
+        assert out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--method" in capsys.readouterr().out
+
     def test_domain_error_reported(self, capsys):
         # z^2 + 3 at (1, -1): the Ehrlich denominator vanishes
         code, _, err = run_cli(capsys, "solve", "--coeffs", "1,0,3",
