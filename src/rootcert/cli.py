@@ -10,6 +10,7 @@ require-certificate mode, 1 on input and usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -67,9 +68,9 @@ def _load_request(args) -> tuple:
         try:
             data = json.loads(Path(args.input).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from None
+            raise InputError(f"cannot read the input file: {exc}") from None
         if not isinstance(data, dict) or "coeffs" not in data:
-            raise InputError(f"{args.input}: not an object with a field 'coeffs'")
+            raise InputError("the input file is not an object with a field 'coeffs'")
         coeffs = _complex_list(data["coeffs"])
         if data.get("guess") is not None:
             guess = _complex_list(data["guess"])
@@ -221,7 +222,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on first use and shared by later calls;
+    parsing leaves it unchanged."""
     parser = _Parser(
         prog="rootcert",
         description="Simultaneous polynomial root-finding with convergence "
@@ -254,6 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_batch(args) -> int:
+    """Solve every JSON file in the directory, in name order.
+
+    stdout gets {file name: result} for the files that solved; each file
+    that did not gets one error line on stderr, and the exit status is 1.
+    """
     directory = Path(args.batch)
     files = sorted(directory.glob("*.json"))
     if not files:
@@ -261,12 +270,20 @@ def _run_batch(args) -> int:
         return 1
 
     results = {}
+    status = 0
     for path in files:
         sub = argparse.Namespace(**{**vars(args), "input": str(path),
                                     "coeffs": None, "guess": None})
-        results[path.name] = _result_to_json(solve(*_solve_request(sub)))
+        try:
+            results[path.name] = _result_to_json(solve(*_solve_request(sub)))
+        except (InputError, ValueError) as exc:
+            print(f"input error: {path.name}: {exc}", file=sys.stderr)
+            status = 1
+        except RootCertError as exc:
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            status = 1
     print(json.dumps(results, indent=2))
-    return 0
+    return status
 
 
 def main(argv=None) -> int:

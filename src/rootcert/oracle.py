@@ -1,6 +1,7 @@
 """Test-support oracles: known-answer instance generation, root matching,
-a finite-difference Newton step on the Viete system, and the reference
-forms of the iterations that the identity tests compare against.
+a finite-difference Newton step on the Viete system, the plain Horner
+recurrence, and the reference forms of the iterations that the identity
+tests compare against.
 
 The Newton step is deliberately independent of the main iteration code
 path: the Jacobian comes from central differences on the Viete function
@@ -49,6 +50,17 @@ def known_instance(roots, perturbation: float, seed: int):
         x0 = roots + radii * np.exp(1j * angles)
         if separation(x0).min() > 0.0:
             return f, x0
+
+
+def horner(f: Polynomial, z):
+    """f at z (scalar or array) by the plain Horner recurrence, one pass per
+    coefficient; the reference that the blocked ``evaluate`` is tested
+    against."""
+    z = np.asarray(z, dtype=np.complex128)
+    acc = np.full(z.shape, f.coeffs[0])
+    for c in f.coeffs[1:]:
+        acc = acc * z + c
+    return acc
 
 
 def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Complex polynomials: Horner evaluation, derivatives and Viete expansion.
+"""Complex polynomials: blocked Horner evaluation, derivatives and Viete
+expansion.
 
 Coefficients are stored leading-first, so ``coeffs[0]`` multiplies ``z**n``.
 All arithmetic is complex binary64.
@@ -11,6 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LeadingCoefficientZero
+
+# evaluate combines its chunks by Horner's scheme in z**_BLOCK, which it
+# forms by _SQUARINGS squarings
+_SQUARINGS = 4
+_BLOCK = 2 ** _SQUARINGS
 
 
 @dataclass(frozen=True)
@@ -25,6 +31,9 @@ class Polynomial:
     """
 
     coeffs: np.ndarray = field()
+    # (nb, B) chunks of the coefficients for evaluate, B = min(16, n + 1),
+    # leading-first; the top chunk is padded with leading zeros
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -36,6 +45,12 @@ class Polynomial:
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        width = min(_BLOCK, c.size)
+        nb = -(-c.size // width)
+        blocks = np.concatenate([np.zeros(nb * width - c.size, dtype=np.complex128), c])
+        blocks = blocks.reshape(nb, width)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def degree(self) -> int:
@@ -50,30 +65,51 @@ class Polynomial:
 
 
 def evaluate(f: Polynomial, z):
-    """Evaluate f at z (scalar or array) by Horner's scheme."""
+    """Evaluate f at z (scalar or array) by blocked Horner.
+
+    The nb chunks of ``f.blocks`` run their Horner recurrences side by
+    side, and the chunk values are combined by Horner's scheme in z**16.
+    With n + 1 <= 16 there is one chunk and this is the plain recurrence.
+    Every product multiplies two contiguous arrays of the same shape:
+    numpy rounds a broadcast complex product differently from a
+    contiguous one, and this keeps scalar and array calls bitwise equal.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    acc = np.full(z.shape, f.coeffs[0])
-    for c in f.coeffs[1:]:
-        acc = acc * z + c
-    return acc
+    nb = f.blocks.shape[0]
+    zz = np.tile(z.reshape(1, -1), (nb, 1))
+    acc = np.repeat(f.blocks[:, :1], z.size, axis=1)
+    prod = np.empty_like(acc)
+    for col in f.blocks.T[1:, :, None]:
+        # not in place: numpy rounds an in-place product of length 1
+        # differently from a longer one
+        np.multiply(acc, zz, out=prod)
+        np.add(prod, col, out=acc)
+    value = acc[0]
+    if nb > 1:
+        zb = zz[0]
+        for _ in range(_SQUARINGS):
+            zb = zb * zb
+        for chunk in acc[1:]:
+            value = value * zb + chunk
+    return value.reshape(z.shape)[()]
 
 
 def evaluate_with_derivatives(f: Polynomial, z):
-    """Return (f(z), f'(z), f''(z)) at z (scalar or array) by
-    synthetic-division Horner.
+    """Return (f(z), f'(z), f''(z)) at z (scalar or array).
 
-    The first component is computed by the same recurrence as
-    :func:`evaluate`, so both agree bitwise.
+    f(z) comes from :func:`evaluate`, so both agree bitwise; f' and f''
+    come from synthetic division, whose running value p stops short of
+    the last coefficient.
     """
     z = np.asarray(z, dtype=np.complex128)
     p = np.full(z.shape, f.coeffs[0])
     dp = np.zeros(z.shape, dtype=np.complex128)
     d2p = np.zeros(z.shape, dtype=np.complex128)
-    for c in f.coeffs[1:]:
+    for c in f.coeffs[1:-1]:
         d2p = d2p * z + 2.0 * dp
         dp = dp * z + p
         p = p * z + c
-    return p, dp, d2p
+    return evaluate(f, z), dp * z + p, d2p * z + 2.0 * dp
 
 
 def from_roots(roots, leading: complex = 1.0) -> Polynomial:

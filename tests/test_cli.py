@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rootcert import cli
 from rootcert.cli import main
 
 
@@ -296,7 +297,41 @@ class TestBatch:
         assert seeded["roots"] != unseeded["roots"]
         assert json.loads(out)["a.json"]["roots"] == seeded["roots"]
 
+    def test_bad_file_reported_and_rest_solved(self, capsys, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({
+            "coeffs": [{"re": float(c), "im": 0.0} for c in [1, 0, -1]],
+        }))
+        (tmp_path / "b.json").write_text("5")
+        one = ["solve", "--input", str(tmp_path / "a.json"), "--no-certificate"]
+        _, alone, _ = run_json(capsys, *one)
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path),
+                                 "--no-certificate")
+        assert code == 1
+        assert json.loads(out) == {"a.json": alone}
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: b.json: ")
+
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
         assert code == 1
         assert "no JSON files" in err
+
+
+def test_main_reuses_parser_without_carrying_state(capsys):
+    # each call of a sequence through one parser prints and returns what
+    # the same call does through a freshly built one
+    calls = [
+        ["solve", "--coeffs", "1,0,0,-1", "--seed", "3", "--no-certificate", "--json"],
+        ["solve", "--coeffs", "1,0,0,-1", "--no-certificate", "--json"],
+        ["certify", "--coeffs", "1,0,-1", "--guess", "1.1,-0.9", "--json"],
+        ["solve", "--coeffs", "1,0,-1", "--method", "foo"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    in_a_row = [run_cli(capsys, *argv) for argv in calls]
+    assert in_a_row == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0]
+    assert fresh[0][1] != fresh[1][1]

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,12 +8,14 @@ from rootcert import (
     LeadingCoefficientZero,
     Polynomial,
     coeff_vector,
+    default_init,
     evaluate,
     evaluate_with_derivatives,
     from_roots,
     viete,
 )
-from conftest import random_distinct_points
+from rootcert.oracle import horner
+from conftest import random_distinct_points, random_monic
 
 
 def test_evaluate_simple():
@@ -31,6 +36,71 @@ def test_evaluate_matches_numpy_polyval():
     f = Polynomial(coeffs)
     z = rng.uniform(-2, 2, 10) + 1j * rng.uniform(-2, 2, 10)
     np.testing.assert_allclose(evaluate(f, z), np.polyval(coeffs, z), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_evaluate_bitwise_equals_plain_horner(n):
+    # up to degree 15 there is one chunk, so the blocked scheme is the plain
+    # recurrence, product for product
+    rng = np.random.default_rng([5, n])
+    f = random_monic(n, rng)
+    z = rng.uniform(-2, 2, 101) + 1j * rng.uniform(-2, 2, 101)
+    np.testing.assert_array_equal(evaluate(f, z), horner(f, z))
+    for zi in z[:10]:
+        got = evaluate(f, zi)
+        assert np.shape(got) == () and got == horner(f, zi)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 128])
+def test_evaluate_scalar_calls_equal_array_call(n):
+    rng = np.random.default_rng([6, n])
+    f = random_monic(n, rng)
+    z = np.concatenate([default_init(f),
+                        rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.5, 1.5, 40)])
+    got = evaluate(f, z)
+    assert got.shape == z.shape
+    np.testing.assert_array_equal(got, [evaluate(f, zi) for zi in z])
+    np.testing.assert_array_equal(evaluate(f, z[:40].reshape(4, 10)),
+                                  got[:40].reshape(4, 10))
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 128, 256])
+def test_evaluate_error_within_blocked_horner_bound(n):
+    # |fl(f(z)) - f(z)| <= gamma_{2(n+16)} * sum |a_i| |z|^i against the
+    # exact value of the binary64 polynomial at the binary64 point
+    f = random_monic(n, np.random.default_rng([1, n]))
+    roots = np.roots(f.coeffs)
+    step = max(1, n // 12)
+    points = np.concatenate([default_init(f)[::step], (roots + 1e-9)[::step]])
+    got = evaluate(f, points)
+    with mpmath.workprec(300):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in f.coeffs]
+        abs_coeffs = [abs(c) for c in coeffs]
+        worst = 0.0
+        for z, fz in zip(points, got):
+            z = mpmath.mpc(z.real, z.imag)
+            exact = mpmath.polyval(coeffs, z)
+            scale = mpmath.polyval(abs_coeffs, abs(z))
+            err = abs(mpmath.mpc(fz.real, fz.imag) - exact) / scale
+            worst = max(worst, float(err))
+    assert worst <= 2 * (n + 16) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 40])
+def test_blocks_layout(n):
+    f = random_monic(n, np.random.default_rng(n))
+    width = min(16, n + 1)
+    nb = -(-(n + 1) // width)
+    assert f.blocks.shape == (nb, width)
+    pad = nb * width - (n + 1)
+    np.testing.assert_array_equal(f.blocks.ravel()[:pad], 0)
+    np.testing.assert_array_equal(f.blocks.ravel()[pad:], f.coeffs)
+    assert not f.blocks.flags.writeable
+    with pytest.raises(ValueError):
+        f.blocks[0, 0] = 1.0
+    # out of == and repr
+    assert [fl.name for fl in fields(Polynomial) if fl.compare] == ["coeffs"]
+    assert repr(f) == "Polynomial(coeffs=" + repr(f.coeffs) + ")"
 
 
 def test_derivatives_simple():
