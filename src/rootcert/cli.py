@@ -2,9 +2,13 @@
 
 Subcommands: solve, certify, disks, thresholds.  Polynomials come either
 from --coeffs (comma-separated reals, leading-first) or from a JSON file
-with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]}.
-Exit status: 0 on success, 2 on an unissued certificate in
-require-certificate mode, 1 on input and usage errors.
+with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]};
+solve --batch DIR solves each JSON file of DIR as --input would.  Each
+subcommand returns (exit status, payload, text lines); _attempt turns a
+failure into a status and one stderr line.  Exit status: 0 on success,
+2 on an unissued certificate in require-certificate mode, 1 on input and
+usage errors; a batch exits 1 if any file failed, else 2 if any
+certificate was not issued.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .polynomials import Polynomial
 from .solve import SolveConfig, default_init, solve
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -47,24 +51,15 @@ def _complex_list(entries) -> np.ndarray:
     return np.array([_complex_from_json(c) for c in entries])
 
 
-def _parse_inline(text: str, what: str) -> np.ndarray:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"cannot parse {what} {text!r}: {exc}") from None
-    return np.asarray(values, dtype=np.complex128)
-
-
-def _parse_p(text: str) -> float:
-    try:
-        return float(text)  # also reads "inf"
-    except ValueError:
-        raise InputError(f"bad p value {text!r}") from None
+def reals(text: str) -> np.ndarray:
+    """The complex vector of a comma-separated list of reals."""
+    return np.array([float(v) for v in text.split(",") if v.strip()],
+                    dtype=np.complex128)
 
 
 def _load_request(args) -> tuple:
     coeffs = guess = None
-    if getattr(args, "input", None):
+    if args.input:
         try:
             data = json.loads(Path(args.input).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -74,22 +69,15 @@ def _load_request(args) -> tuple:
         coeffs = _complex_list(data["coeffs"])
         if data.get("guess") is not None:
             guess = _complex_list(data["guess"])
-    if getattr(args, "coeffs", None):
-        coeffs = _parse_inline(args.coeffs, "--coeffs")
-    if getattr(args, "guess", None):
-        guess = _parse_inline(args.guess, "--guess")
+    if args.coeffs is not None:
+        coeffs = args.coeffs
+    if args.guess is not None:
+        guess = args.guess
     if guess is not None and not np.all(np.isfinite(guess)):
         raise InputError("guess must be finite")
     if coeffs is None:
         raise InputError("no polynomial given: use --coeffs or --input")
-    try:
-        f = Polynomial(coeffs)
-    except (RootCertError, ValueError) as exc:
-        raise InputError(f"bad coefficients: {exc}") from None
-    return f, guess
-
-
-_METHODS = {m.value: m for m in MethodKind}
+    return Polynomial(coeffs), guess
 
 
 def _disks_payload(disks, disjoint: bool) -> dict:
@@ -115,31 +103,19 @@ def _result_to_json(result) -> dict:
     }
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _solve_request(args) -> tuple:
-    """(f, starting vector, SolveConfig) of one solve request; without a
-    guess the start is default_init, rotated at random when --seed is set."""
+def _cmd_solve(args) -> tuple:
+    if args.batch:
+        return _solve_batch(args)
     f, guess = _load_request(args)
     if guess is None:
+        # default_init, rotated at random when --seed is set
         rotation = 0.4
         if args.seed is not None:
             rotation = float(np.random.default_rng(args.seed).uniform(0, 2 * np.pi))
         guess = default_init(f, rotation=rotation)
-    cfg = SolveConfig(method=_METHODS[args.method], p=_parse_p(args.p),
+    cfg = SolveConfig(method=MethodKind(args.method), p=args.p,
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
-    return f, guess, cfg
-
-
-def _cmd_solve(args) -> int:
-    f, guess, cfg = _solve_request(args)
     result = solve(f, guess, cfg)
     payload = _result_to_json(result)
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
@@ -153,11 +129,29 @@ def _cmd_solve(args) -> int:
     lines += _disk_lines(result.disks)
     if result.order_estimate is not None:
         lines.append(f"order estimate: {result.order_estimate:.3f}")
-    _emit(payload, args.json, lines)
-    if cfg.require_certificate and result.certificate is not None \
-            and not result.certificate.issued:
-        return 2
-    return 0
+    unissued = cfg.require_certificate and not result.certificate.issued
+    return (2 if unissued else 0), payload, lines
+
+
+def _solve_batch(args) -> tuple:
+    """Solve every JSON file of the directory, in name order, through
+    _cmd_solve; the payload maps each file that gave a result to it."""
+    if args.coeffs is not None or args.guess is not None or args.input:
+        raise InputError("--batch takes no --coeffs, --guess or --input")
+    directory = Path(args.batch)
+    files = sorted(directory.glob("*.json"))
+    if not files:
+        raise InputError(f"no JSON files in {directory}")
+    results, statuses = {}, set()
+    for path in files:
+        one = argparse.Namespace(**{**vars(args), "input": str(path), "batch": None})
+        status, payload, _ = _attempt(_cmd_solve, one, f"{path.name}: ")
+        statuses.add(status)
+        if payload is not None:
+            results[path.name] = payload
+    # a failed file outranks an unissued certificate
+    status = 1 if 1 in statuses else max(statuses)
+    return status, results, [json.dumps(results, indent=2)]
 
 
 def _point_request(args) -> tuple:
@@ -165,30 +159,24 @@ def _point_request(args) -> tuple:
     f, guess = _load_request(args)
     if guess is None:
         raise InputError(f"{args.subcommand} needs --guess or a guess in the input file")
-    ctx = norm_context(f.degree, _parse_p(args.p))
-    return f, guess, gauge_bundle(_METHODS[args.method], ctx)
+    ctx = norm_context(f.degree, args.p)
+    return f, guess, gauge_bundle(MethodKind(args.method), ctx)
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple:
     cert = certify_initial(*_point_request(args))
     lines = [f"issued: {cert.issued}   strict: {cert.strict}",
              f"E0 = {cert.E0:.6g}   tau = {cert.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
-    _emit({"certificate": cert.to_dict()}, args.json, lines)
-    return 0 if cert.issued else 2
+    return (0 if cert.issued else 2), {"certificate": cert.to_dict()}, lines
 
 
-def _cmd_disks(args) -> int:
-    try:
-        disks, disjoint = inclusion_disks(*_point_request(args))
-    except NotCertified as exc:
-        print(f"not certified: {exc}", file=sys.stderr)
-        return 2
-    _emit(_disks_payload(disks, disjoint), args.json,
-          [f"disjoint: {disjoint}"] + _disk_lines(disks))
-    return 0
+def _cmd_disks(args) -> tuple:
+    disks, disjoint = inclusion_disks(*_point_request(args))
+    return 0, _disks_payload(disks, disjoint), \
+        [f"disjoint: {disjoint}"] + _disk_lines(disks)
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> tuple:
     n = args.n
     rows = []
     for method in (MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV):
@@ -203,16 +191,18 @@ def _cmd_thresholds(args) -> int:
                          "threshold": value})
     lines = [f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}"
              for r in rows]
-    _emit({"n": n, "thresholds": rows}, args.json, lines)
-    return 0
+    return 0, {"n": n, "thresholds": rows}, lines
 
 
 def _add_common(sub):
-    sub.add_argument("--coeffs", help="comma-separated real coefficients, leading-first")
-    sub.add_argument("--guess", help="comma-separated real starting points")
+    sub.add_argument("--coeffs", type=reals,
+                     help="comma-separated real coefficients, leading-first")
+    sub.add_argument("--guess", type=reals, help="comma-separated real starting points")
     sub.add_argument("--input", help="JSON input file")
-    sub.add_argument("--method", choices=sorted(_METHODS), default="ehrlich")
-    sub.add_argument("--p", default="inf", help="norm exponent (decimal or 'inf')")
+    sub.add_argument("--method", choices=sorted(m.value for m in MethodKind),
+                     default="ehrlich")
+    sub.add_argument("--p", type=float, default=math.inf,
+                     help="norm exponent (decimal or 'inf')")
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
@@ -257,48 +247,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_batch(args) -> int:
-    """Solve every JSON file in the directory, in name order.
+def _attempt(cmd, args, prefix: str = "") -> tuple:
+    """(status, payload, lines) of cmd(args); a failure instead prints one
+    stderr line, with prefix before its message, and gives no payload."""
+    try:
+        return cmd(args)
+    except NotCertified as exc:
+        status, line = 2, f"not certified: {prefix}{exc}"
+    except ValueError as exc:
+        # InputError, and the library's out-of-range arguments
+        status, line = 1, f"input error: {prefix}{exc}"
+    except RootCertError as exc:
+        status, line = 1, f"error: {prefix}{exc}"
+    print(line, file=sys.stderr)
+    return status, None, []
 
-    stdout gets {file name: result} for the files that solved; each file
-    that did not gets one error line on stderr, and the exit status is 1.
-    """
-    directory = Path(args.batch)
-    files = sorted(directory.glob("*.json"))
-    if not files:
-        print(f"no JSON files in {directory}", file=sys.stderr)
-        return 1
 
-    results = {}
-    status = 0
-    for path in files:
-        sub = argparse.Namespace(**{**vars(args), "input": str(path),
-                                    "coeffs": None, "guess": None})
-        try:
-            results[path.name] = _result_to_json(solve(*_solve_request(sub)))
-        except (InputError, ValueError) as exc:
-            print(f"input error: {path.name}: {exc}", file=sys.stderr)
-            status = 1
-        except RootCertError as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            status = 1
-    print(json.dumps(results, indent=2))
-    return status
+def _request(argv) -> tuple:
+    args = build_parser().parse_args(argv)
+    status, payload, lines = args.func(args)
+    return status, payload, [json.dumps(payload, indent=2)] if args.json else lines
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if getattr(args, "batch", None):
-            return _run_batch(args)
-        return args.func(args)
-    except (InputError, ValueError) as exc:
-        # the library raises ValueError only on out-of-range arguments
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except RootCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    status, _, lines = _attempt(_request, argv)
+    for line in lines:
+        print(line)
+    return status
 
 
 if __name__ == "__main__":

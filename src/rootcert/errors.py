@@ -1,15 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  The errors that
+reject an argument as out of range are ValueErrors too."""
 
 
 class RootCertError(Exception):
     """Base class for all errors raised by rootcert."""
 
 
-class LeadingCoefficientZero(RootCertError):
+class LeadingCoefficientZero(RootCertError, ValueError):
     """The leading coefficient of a polynomial is zero."""
 
 
-class DegreeMismatch(RootCertError):
+class DegreeMismatch(RootCertError, ValueError):
     """Vector length does not match the polynomial degree."""
 
 
@@ -17,7 +18,7 @@ class NonDistinctComponents(RootCertError):
     """An approximation vector has two (exactly) equal components."""
 
 
-class BadExponent(RootCertError):
+class BadExponent(RootCertError, ValueError):
     """p-norm exponent outside [1, inf]."""
 
 

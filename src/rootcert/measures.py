@@ -114,13 +114,13 @@ def corrections(f: Polynomial, x) -> tuple:
     """(W_f(x), d(x), differences(x)) after checking that x has deg f
     distinct components."""
     x = np.asarray(x, dtype=np.complex128)
+    if x.size != f.degree:
+        raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
     diff = differences(x)
     d = separation(x, diff)
     if np.any(d == 0.0):
         i = int(np.argmin(d))
         raise NonDistinctComponents(f"components coincide (index {i})")
-    if x.size != f.degree:
-        raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
     return evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0)), d, diff
 
 

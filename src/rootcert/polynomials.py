@@ -52,6 +52,15 @@ class Polynomial:
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return bool(np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self):
+        # agrees with ==, which takes 0.0 and -0.0 as equal
+        return hash(tuple(self.coeffs.tolist()))
+
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1

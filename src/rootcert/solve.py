@@ -101,8 +101,6 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     The run stops unconverged at the first iterate whose E is not finite.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
-    if x0.size != f.degree:
-        raise ValueError(f"{x0.size} starting points for degree {f.degree}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting points must be finite")
     ctx = norm_context(f.degree, cfg.p)

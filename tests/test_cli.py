@@ -193,6 +193,10 @@ class TestInputHandling:
         ["solve", "--coeffs", "1,0,-1", "--guess", "nan,-2", "--no-certificate"],
         ["solve", "--coeffs", "1,0,-1", "--guess", "inf,-2"],
         ["thresholds", "--n", "1"],
+        ["certify", "--coeffs", "1,0,-1", "--guess", "2,-2,3"],
+        ["disks", "--coeffs", "1,0,-1", "--guess", "2,-2,3"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--p", "0.5"],
+        ["certify", "--coeffs", "1,0,-1", "--guess", "2,-2", "--p", "nan"],
     ])
     def test_out_of_range_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -269,6 +273,13 @@ class TestInputHandling:
         assert "error" in err
 
 
+def _write_request(path, coeffs, guess=None):
+    request = {"coeffs": [{"re": float(c), "im": 0.0} for c in coeffs]}
+    if guess is not None:
+        request["guess"] = [{"re": float(z), "im": 0.0} for z in guess]
+    path.write_text(json.dumps(request))
+
+
 class TestBatch:
     def test_batch_directory(self, capsys, tmp_path):
         for name, coeffs in [("a", [1, 0, -1]), ("b", [1, 0, -4])]:
@@ -310,6 +321,31 @@ class TestBatch:
         assert json.loads(out) == {"a.json": alone}
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: b.json: ")
+
+    def test_exit_status_is_the_worst_file(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        _write_request(tmp_path / "b.json", [1, 0, -1], [0.6, -0.6])
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
+        assert code == 2 and err == ""
+        data = json.loads(out)
+        assert set(data) == {"a.json", "b.json"}
+        assert data["a.json"]["certificate"]["issued"] is True
+        assert data["b.json"]["certificate"]["issued"] is False
+        # a failed file outranks an unissued certificate
+        (tmp_path / "c.json").write_text("5")
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
+        assert code == 1
+        assert json.loads(out) == data
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: c.json: ")
+
+    @pytest.mark.parametrize("option", [
+        ["--coeffs", "1,0,-1"], ["--guess", "2,-2"], ["--input", "a.json"]])
+    def test_single_request_options_rejected(self, capsys, tmp_path, option):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path), *option)
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ")
 
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))

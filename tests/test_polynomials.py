@@ -103,6 +103,14 @@ def test_blocks_layout(n):
     assert repr(f) == "Polynomial(coeffs=" + repr(f.coeffs) + ")"
 
 
+def test_value_equality_and_hash():
+    f = Polynomial([1, 0, -1])
+    g = Polynomial([1.0, -0.0, -1.0 + 0.0j])
+    assert f == g and hash(f) == hash(g)
+    assert f != Polynomial([1, 0, -2]) and f != [1, 0, -1]
+    assert len({f, g, Polynomial([1, 0, -2])}) == 2
+
+
 def test_derivatives_simple():
     f = Polynomial([1, 0, -1])
     assert evaluate_with_derivatives(f, 2) == (3, 4, 2)
