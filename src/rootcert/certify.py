@@ -9,7 +9,7 @@ and the ready-made corollary thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,12 +22,8 @@ from .polynomials import Polynomial
 
 @dataclass(frozen=True)
 class GaugeBundle:
-    """Real gauge functions controlling one method's semilocal theory.
-
-    Each method gives tau, gamma, psi and beta; mu and phi follow from
-    the general theorem.  beta is quasi-homogeneous of degree m = 2,
-    which makes the certified convergence order r = m + 1 = 3.
-    """
+    """Real gauge functions of one method's semilocal theory: the method
+    gives tau, gamma, psi and beta; mu and phi follow from the theorem."""
 
     method: MethodKind
     ctx: NormContext
@@ -35,7 +31,6 @@ class GaugeBundle:
     gamma: Callable[[float], float]
     psi: Callable[[float], float]
     beta: Callable[[float], float]
-    r: int = 3
 
     def mu(self, t: float) -> float:
         return 1.0 - t * self.gamma(t)
@@ -56,10 +51,8 @@ class Certificate:
     phi(E0) < 1, which is what licenses cubic order and disk disjointness.
     """
 
-    method: MethodKind
-    ctx: NormContext
+    bundle: GaugeBundle = field(repr=False)  # the gauge functions it was issued under
     E0: float
-    tau: float
     phi0: float
     strict: bool
     lam: float
@@ -67,15 +60,15 @@ class Certificate:
     rho: Optional[np.ndarray]
     order: Optional[int]
     issued: bool
-    bundle: GaugeBundle = field(repr=False)  # the gauge functions it was issued under
 
     def to_dict(self) -> dict:
+        ctx = self.bundle.ctx
         return {
-            "method": self.method.value,
-            "n": self.ctx.n,
-            "p": "inf" if math.isinf(self.ctx.p) else self.ctx.p,
+            "method": self.bundle.method.value,
+            "n": ctx.n,
+            "p": "inf" if math.isinf(ctx.p) else ctx.p,
             "E0": _finite_or_none(self.E0),
-            "tau": self.tau,
+            "tau": self.bundle.tau,
             "phi0": _finite_or_none(self.phi0),
             "strict": self.strict,
             "lambda": _finite_or_none(self.lam),
@@ -92,6 +85,12 @@ class Disk:
     radius: float
 
 
+def _product_bound(u: float, v: float, n: int) -> float:
+    """(1 + u/((n-1) v))**(n-1): the AM-GM bound on a product of n - 1
+    factors 1 + u_j/v whose u_j sum to at most u."""
+    return (1.0 + u / ((n - 1) * v)) ** (n - 1)
+
+
 def _ehrlich_bundle(ctx: NormContext) -> GaugeBundle:
     a, b, n = ctx.a, ctx.b, ctx.n
     tau = 1.0 / (a + b)
@@ -104,13 +103,12 @@ def _ehrlich_bundle(ctx: NormContext) -> GaugeBundle:
 
     def beta(t):
         core = a * t * t / ((1.0 - a * t) * (1.0 - (a + 1.0) * t))
-        bump = (1.0 + a * t / ((n - 1) * (1.0 - (a + b) * t))) ** (n - 1)
-        return core * bump
+        return core * _product_bound(a * t, 1.0 - (a + b) * t, n)
 
     return GaugeBundle(MethodKind.EHRLICH, ctx, tau, gamma, psi, beta)
 
 
-def _dochev_byrnev_bundle(ctx: NormContext) -> GaugeBundle:
+def _dochev_byrnev_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
     a, b, n = ctx.a, ctx.b, ctx.n
     tau = min(1.0 / a, 2.0 / (b + math.sqrt(b * b + 4.0 * a * b)))
 
@@ -123,11 +121,10 @@ def _dochev_byrnev_bundle(ctx: NormContext) -> GaugeBundle:
     def beta(t):
         core = (a * t * t * (1.0 + a * t) * (1.0 + a + a * t)
                 / ((1.0 - a * t) * (1.0 - t - a * t * t)))
-        bump = (1.0 + a * t * (1.0 + a * t)
-                / ((n - 1) * (1.0 - b * t - a * b * t * t))) ** (n - 1)
-        return core * bump
+        return core * _product_bound(a * t * (1.0 + a * t),
+                                     1.0 - b * t - a * b * t * t, n)
 
-    return GaugeBundle(MethodKind.DOCHEV_BYRNEV, ctx, tau, gamma, psi, beta)
+    return GaugeBundle(method, ctx, tau, gamma, psi, beta)
 
 
 def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
@@ -135,14 +132,21 @@ def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
     if method is MethodKind.EHRLICH:
         return _ehrlich_bundle(ctx)
     if method in (MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE):
-        return replace(_dochev_byrnev_bundle(ctx), method=method)
+        return _dochev_byrnev_bundle(method, ctx)
     raise UnsupportedCombination("no certification for the Weierstrass method")
 
 
 def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
     """The certificate for the point whose measurement is m: issued when
-    E < tau and phi(E) <= 1, with phi(E) = inf where E >= tau or is NaN."""
-    phi0 = bundle.phi(m.E) if m.E < bundle.tau else math.inf
+    E < tau and phi(E) <= 1.  phi0 is inf, so nothing is issued, where E
+    >= tau or is NaN, where psi(E) rounds to <= 0 just below tau and where
+    a gauge function overflows or divides by zero.  A strict certificate
+    has order 3: beta is quasi-homogeneous of degree 2, plus one."""
+    try:
+        inside = m.E < bundle.tau and bundle.psi(m.E) > 0.0
+        phi0 = bundle.phi(m.E) if inside else math.inf
+    except (OverflowError, ZeroDivisionError):
+        phi0 = math.inf
     issued = phi0 <= 1.0
     strict = issued and phi0 < 1.0
     if issued:
@@ -150,10 +154,9 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
         rho = bundle.gamma(m.E) / (1.0 - bundle.beta(m.E)) * np.abs(m.w)
     else:
         lam, theta, rho = math.nan, math.nan, None
-    return Certificate(method=bundle.method, ctx=bundle.ctx, E0=m.E,
-                       tau=bundle.tau, phi0=phi0, strict=strict, lam=lam,
-                       theta=theta, rho=rho, order=bundle.r if strict else None,
-                       issued=issued, bundle=bundle)
+    return Certificate(bundle=bundle, E0=m.E, phi0=phi0, strict=strict,
+                       lam=lam, theta=theta, rho=rho,
+                       order=3 if strict else None, issued=issued)
 
 
 def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
@@ -236,29 +239,15 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
 
 
 def solve_R() -> float:
-    """Sufficient-threshold constant for Dochev-Byrnev at p = 1.
+    """Sufficient-threshold constant R for Dochev-Byrnev at p = 1.
 
-    Unique solution of
+    R solves
     t^2 (1+t)(2+t) / ((1-t)(1-t-t^2)^2) * exp((t+t^2)/(1-t-t^2)) = 1
-    in (0, (sqrt(5)-1)/2), found by bisection to 1e-12.  The returned end
-    of the final bracket has left-hand side <= 1, so it is sufficient.
+    in (0, (sqrt(5)-1)/2), the left-hand side increasing there.  The
+    float below, 0x1.0deed1c032ce9p-2, lies less than 1e-12 below that
+    root: its left-hand side is <= 1, so it is sufficient.
     """
-
-    def lhs(t):
-        u = 1.0 - t - t * t
-        # exponent blows up near the right bracket end; clamp to keep
-        # the sign information without overflowing
-        return (t * t * (1.0 + t) * (2.0 + t) / ((1.0 - t) * u * u)
-                * math.exp(min((t + t * t) / u, 700.0)))
-
-    lo, hi = 1e-9, 0.618
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return 0.2636063359793313
 
 
 def corollary_threshold(method: MethodKind, ctx: NormContext) -> float:

@@ -107,12 +107,12 @@ def _cmd_solve(args) -> tuple:
     if args.batch:
         return _solve_batch(args)
     f, guess = _load_request(args)
-    if guess is None:
-        # default_init, rotated at random when --seed is set
-        rotation = 0.4
-        if args.seed is not None:
-            rotation = float(np.random.default_rng(args.seed).uniform(0, 2 * np.pi))
-        guess = default_init(f, rotation=rotation)
+    if guess is None and args.seed is None:
+        guess = default_init(f)
+    elif guess is None:
+        # default_init, rotated at random
+        rng = np.random.default_rng(args.seed)
+        guess = default_init(f, rotation=float(rng.uniform(0, 2 * np.pi)))
     cfg = SolveConfig(method=MethodKind(args.method), p=args.p,
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
@@ -123,7 +123,7 @@ def _cmd_solve(args) -> tuple:
     if result.certificate is not None:
         c = result.certificate
         lines.append(f"certificate issued: {c.issued}   E0 = {c.E0:.6g}   "
-                     f"phi(E0) = {c.phi0:.6g}   tau = {c.tau:.6g}")
+                     f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     for i, z in enumerate(result.final):
         lines.append(f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j")
     lines += _disk_lines(result.disks)
@@ -166,7 +166,7 @@ def _point_request(args) -> tuple:
 def _cmd_certify(args) -> tuple:
     cert = certify_initial(*_point_request(args))
     lines = [f"issued: {cert.issued}   strict: {cert.strict}",
-             f"E0 = {cert.E0:.6g}   tau = {cert.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
+             f"E0 = {cert.E0:.6g}   tau = {cert.bundle.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
     return (0 if cert.issued else 2), {"certificate": cert.to_dict()}, lines
 
 

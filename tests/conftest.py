@@ -1,6 +1,6 @@
 import numpy as np
 
-from rootcert import Polynomial, from_roots
+from rootcert import Polynomial, e_measure, from_roots
 
 
 def random_monic(n, rng):
@@ -25,3 +25,18 @@ def random_distinct_points(n, rng, radius=2.0, min_sep=0.05):
 def well_separated_roots(n, rng, radius=2.0, min_sep=0.6):
     """Root sets used for constructed known-answer instances."""
     return random_distinct_points(n, rng, radius=radius, min_sep=min_sep)
+
+
+def roots_of_unity_just_below_tau(n, ctx, tau):
+    """(z^n - 1, (1 + s) times the n-th roots of unity), with s bisected so
+    that E sits just below tau; E grows with s."""
+    f = Polynomial([1.0] + [0.0] * (n - 1) + [-1.0])
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        if e_measure(f, (1.0 + s) * omega, ctx) < tau:
+            lo = s
+        else:
+            hi = s
+    return f, (1.0 + lo) * omega

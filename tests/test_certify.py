@@ -34,7 +34,7 @@ from rootcert import (
 )
 from rootcert.certify import _K_CAP, certificate_at, disks_at
 from rootcert.measures import differences
-from conftest import well_separated_roots
+from conftest import roots_of_unity_just_below_tau, well_separated_roots
 
 INF = math.inf
 F = Polynomial([1, 0, -1])
@@ -179,6 +179,10 @@ class TestBounds:
         np.testing.assert_allclose(a_priori_bound(self.cert, self.w0, 0),
                                    [1.0243902, 1.0243902], rtol=1e-6)
 
+    def test_a_priori_rejects_negative_k(self):
+        with pytest.raises(ValueError):
+            a_priori_bound(self.cert, self.w0, -1)
+
     def test_a_priori_requires_certificate(self):
         cert = certify_initial(F, [0.6, -0.6], self.bundle)
         with pytest.raises(NotCertified):
@@ -206,6 +210,11 @@ class TestBounds:
         np.testing.assert_allclose(bound, [want, want], rtol=1e-13)
         # dominates the true error at x1
         assert np.all(bound >= np.abs(x1 - np.array([1, -1])))
+
+    def test_a_posteriori_2_rejects_image_at_or_past_tau(self):
+        # E(0.6, -0.6) = 0.64 / 1.44 > tau = 1/3
+        with pytest.raises(NotCertified, match="xk1"):
+            a_posteriori_bound_2(F, X, [0.6, -0.6], self.bundle)
 
     def test_a_posteriori_2_zero_at_roots(self):
         r = np.array([1.0, -1.0])
@@ -256,6 +265,63 @@ def test_one_certificate_one_rho(method):
     assert res.disks
     np.testing.assert_array_equal([d.radius for d in res.disks],
                                   a_posteriori_bound_1(f, res.final, bundle))
+
+
+def _measurement_at(E, n):
+    # certificate_at reads only E and w
+    return Measurement(w=np.full(n, 1e-3 + 0j), d=np.ones(n), E=E, diff=None)
+
+
+def _assert_declined(cert):
+    assert not cert.issued and not cert.strict
+    assert cert.phi0 == INF and cert.rho is None and cert.order is None
+
+
+class TestVerdictNearTau:
+    def test_psi_rounding_below_zero_declines(self):
+        # psi(E) rounds to -5.6e-17 at the float just below tau
+        b = gauge_bundle(MethodKind.DOCHEV_BYRNEV, norm_context(3, 1.5))
+        e = math.nextafter(b.tau, 0)
+        assert b.psi(e) < 0
+        _assert_declined(certificate_at(b, _measurement_at(e, 3)))
+
+    @pytest.mark.parametrize("method, n, p, below", [
+        (MethodKind.EHRLICH, 300, 2.0, False),   # beta overflows
+        (MethodKind.EHRLICH, 1000, 1.0, False),
+        (MethodKind.DOCHEV_BYRNEV, 1000, 1.0, False),
+        (MethodKind.DOCHEV_BYRNEV, 5, 3.0, True),  # psi(E) = 0: beta divides by it
+    ])
+    def test_gauge_failure_declines(self, method, n, p, below):
+        b = gauge_bundle(method, norm_context(n, p))
+        e = math.nextafter(b.tau, 0) if below else b.tau * (1 - 1e-6)
+        with pytest.raises(ArithmeticError):
+            b.phi(e)
+        _assert_declined(certificate_at(b, _measurement_at(e, n)))
+
+    def test_verdict_total_and_sound_just_below_tau(self):
+        for method in (MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV,
+                       MethodKind.TANABE):
+            for n in range(2, 201):
+                for p in (1, 1.5, 2, 3, 4, INF):
+                    b = gauge_bundle(method, norm_context(n, p))
+                    es = [b.tau * (1 - 1e-6), math.nextafter(b.tau, 0)]
+                    es += [math.nextafter(es[-1], 0)]
+                    es += [math.nextafter(es[-1], 0)]
+                    for e in es:
+                        cert = certificate_at(b, _measurement_at(e, n))
+                        if cert.issued:
+                            assert 0 <= cert.phi0 <= 1 and cert.theta > 0
+                            assert np.all(cert.rho >= 0)
+
+    def test_certify_and_solve_decline_where_beta_overflows(self):
+        ctx = norm_context(300, 2.0)
+        b = gauge_bundle(MethodKind.EHRLICH, ctx)
+        f, x = roots_of_unity_just_below_tau(300, ctx, b.tau)
+        assert b.tau * (1 - 1e-4) < e_measure(f, x, ctx) < b.tau
+        _assert_declined(certify_initial(f, x, b))
+        res = solve(f, x, SolveConfig(p=2.0))
+        _assert_declined(res.certificate)
+        assert res.iterations == 0 and not res.converged
 
 
 class TestDisks:

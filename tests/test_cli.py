@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rootcert import MethodKind, gauge_bundle, norm_context
 from rootcert import cli
 from rootcert.cli import main
+from conftest import roots_of_unity_just_below_tau
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,15 @@ class TestSolve:
         assert "certificate issued: True" in out
         assert "root[0]" in out
 
+    def test_order_estimate_line(self, capsys):
+        # (z - 1)^2 (z + 1): linear convergence at the double root gives
+        # enough E values for an estimate
+        argv = ["solve", "--coeffs", "1,-1,-1,1", "--no-certificate"]
+        code, out, _ = run_cli(capsys, *argv)
+        _, data, _ = run_json(capsys, *argv)
+        assert code == 0 and data["order_estimate"] is not None
+        assert f"order estimate: {data['order_estimate']:.3f}" in out.splitlines()
+
     def test_json_round_trips_bitwise(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--coeffs", "1,0,-1",
                                "--guess", "2,-2", "--json")
@@ -102,6 +113,21 @@ class TestCertify:
         code, _, _ = run_json(capsys, "certify", "--coeffs", "1,0,-1",
                               "--guess", "0.6,-0.6")
         assert code == 2
+
+    def test_beta_overflow_just_below_tau_exits_2(self, capsys, tmp_path):
+        # Ehrlich at n = 300, p = 2: beta overflows at this E0 < tau
+        ctx = norm_context(300, 2.0)
+        f, x = roots_of_unity_just_below_tau(
+            300, ctx, gauge_bundle(MethodKind.EHRLICH, ctx).tau)
+        path = tmp_path / "z300.json"
+        path.write_text(json.dumps({
+            "coeffs": [{"re": c.real, "im": c.imag} for c in f.coeffs],
+            "guess": [{"re": z.real, "im": z.imag} for z in x]}))
+        code, data, err = run_json(capsys, "certify", "--input", str(path),
+                                   "--p", "2")
+        assert code == 2 and err == ""
+        assert data["certificate"]["issued"] is False
+        assert data["certificate"]["phi0"] is None
 
     def test_missing_guess_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--coeffs", "1,0,-1")
@@ -197,6 +223,8 @@ class TestInputHandling:
         ["disks", "--coeffs", "1,0,-1", "--guess", "2,-2,3"],
         ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--p", "0.5"],
         ["certify", "--coeffs", "1,0,-1", "--guess", "2,-2", "--p", "nan"],
+        ["solve", "--coeffs", "1,0"],
+        ["solve", "--coeffs", "1,inf,-1"],
     ])
     def test_out_of_range_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -238,6 +266,8 @@ class TestInputHandling:
         "null",
         '{"coeffs": 5}',
         '{"coeffs": [{"re": 1, "im": 0}, {"re": -1, "im": 0}], "guess": 7}',
+        '{"coeffs": [{"re": 1}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
+        '{"coeffs": [{"re": "one", "im": 0}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
     ])
     def test_malformed_json_is_input_error(self, capsys, tmp_path, content):
         path = tmp_path / "req.json"

@@ -65,6 +65,11 @@ def test_separation_examples():
     np.testing.assert_array_equal(separation([0, 0]), [0, 0])
 
 
+def test_separation_needs_two_components():
+    with pytest.raises(ValueError):
+        separation([1.0])
+
+
 def test_weierstrass_correction_examples():
     f = Polynomial([1, 0, -1])
     np.testing.assert_allclose(weierstrass_correction(f, [2, -2]), [0.75, -0.75])

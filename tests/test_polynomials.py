@@ -111,6 +111,17 @@ def test_value_equality_and_hash():
     assert len({f, g, Polynomial([1, 0, -2])}) == 2
 
 
+@pytest.mark.parametrize("coeffs", [[1, 0], [1], [1, np.inf, -1], [1, 0, np.nan]])
+def test_short_or_non_finite_coefficients_rejected(coeffs):
+    with pytest.raises(ValueError):
+        Polynomial(coeffs)
+
+
+def test_viete_needs_two_components():
+    with pytest.raises(ValueError):
+        viete([1.0])
+
+
 def test_derivatives_simple():
     f = Polynomial([1, 0, -1])
     assert evaluate_with_derivatives(f, 2) == (3, 4, 2)
