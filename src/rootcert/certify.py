@@ -73,7 +73,7 @@ class Certificate:
             "strict": self.strict,
             "lambda": _finite_or_none(self.lam),
             "theta": _finite_or_none(self.theta),
-            "rho": None if self.rho is None else [float(r) for r in self.rho],
+            "rho": None if self.rho is None else self.rho.tolist(),
             "order": self.order,
             "issued": self.issued,
         }
@@ -221,7 +221,8 @@ def disks_at(x: np.ndarray, cert: Certificate, diff: np.ndarray):
     """Inclusion disks at x from its certificate cert and diff =
     differences(x); see inclusion_disks."""
     radii = _issued(cert, "inclusion disks").rho
-    disks = [Disk(complex(c), float(r)) for c, r in zip(x, radii)]
+    centers = np.asarray(x, dtype=np.complex128).tolist()
+    disks = [Disk(c, r) for c, r in zip(centers, radii.tolist())]
     close = np.abs(diff) <= radii[:, None] + radii[None, :]
     np.fill_diagonal(close, False)
     return disks, bool(cert.strict and not np.any(close))

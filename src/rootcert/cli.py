@@ -3,12 +3,16 @@
 Subcommands: solve, certify, disks, thresholds.  Polynomials come either
 from --coeffs (comma-separated reals, leading-first) or from a JSON file
 with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]};
-solve --batch DIR solves each JSON file of DIR as --input would.  Each
-subcommand returns (exit status, payload, text lines); _attempt turns a
-failure into a status and one stderr line.  Exit status: 0 on success,
-2 on an unissued certificate in require-certificate mode, 1 on input and
-usage errors; a batch exits 1 if any file failed, else 2 if any
-certificate was not issued.
+solve --batch DIR solves each JSON file of DIR as --input would.  solve
+--seed rotates the default starting points and conflicts with --guess; a
+guess in an --input file takes precedence over it.  --json and --batch
+print the payload as one JSON line through json's C encoder (any indent
+would select its pure-Python one); pipe it through python -m json.tool
+to indent it.  Each subcommand returns (exit status, payload, text
+lines); _attempt turns a failure into a status and one stderr line.
+Exit status: 0 on success, 2 on an unissued certificate in
+require-certificate mode, 1 on input and usage errors; a batch exits 1
+if any file failed, else 2 if any certificate was not issued.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class InputError(ValueError):
 
 
 def _complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 def _complex_from_json(obj) -> complex:
@@ -96,7 +100,7 @@ def _result_to_json(result) -> dict:
         "certificate": None if result.certificate is None
         else result.certificate.to_dict(),
         "converged": result.converged,
-        "roots": [_complex_to_json(z) for z in result.final],
+        "roots": [_complex_to_json(z) for z in result.final.tolist()],
         **_disks_payload(result.disks, result.disjoint),
         "iterations": result.iterations,
         "order_estimate": result.order_estimate,
@@ -106,6 +110,9 @@ def _result_to_json(result) -> dict:
 def _cmd_solve(args) -> tuple:
     if args.batch:
         return _solve_batch(args)
+    if args.seed is not None and args.guess is not None:
+        raise InputError("--seed rotates the default starting points; "
+                         "it takes no --guess")
     f, guess = _load_request(args)
     if guess is None and args.seed is None:
         guess = default_init(f)
@@ -151,7 +158,7 @@ def _solve_batch(args) -> tuple:
             results[path.name] = payload
     # a failed file outranks an unissued certificate
     status = 1 if 1 in statuses else max(statuses)
-    return status, results, [json.dumps(results, indent=2)]
+    return status, results, [json.dumps(results)]
 
 
 def _point_request(args) -> tuple:
@@ -266,7 +273,7 @@ def _attempt(cmd, args, prefix: str = "") -> tuple:
 def _request(argv) -> tuple:
     args = build_parser().parse_args(argv)
     status, payload, lines = args.func(args)
-    return status, payload, [json.dumps(payload, indent=2)] if args.json else lines
+    return status, payload, [json.dumps(payload)] if args.json else lines
 
 
 def main(argv=None) -> int:

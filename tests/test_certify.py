@@ -373,6 +373,20 @@ class TestDisks:
                    for i in range(n) for j in range(i + 1, n))
         assert disjoint is want
 
+    @pytest.mark.parametrize("x", [[2.0, -2.0], np.array([2.0, -2.0]), X],
+                             ids=["list", "real-array", "complex-array"])
+    def test_disk_fields_are_python_scalars(self, x):
+        # Disk documents center: complex and radius: float, not numpy scalars
+        b = gauge_bundle(MethodKind.EHRLICH, CTX2)
+        m = Measurement(w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0,
+                        diff=differences(X))
+        for disks, _ in (inclusion_disks(F, x, b),
+                         disks_at(x, certificate_at(b, m), m.diff)):
+            assert [d.center for d in disks] == [2, -2]
+            for d in disks:
+                assert type(d.center) is complex
+                assert type(d.radius) is float
+
 
 class TestThresholds:
     def test_ehrlich_n5(self):

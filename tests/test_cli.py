@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rootcert import MethodKind, gauge_bundle, norm_context
+from rootcert import (MethodKind, Polynomial, SolveConfig, gauge_bundle,
+                      norm_context, solve)
 from rootcert import cli
 from rootcert.cli import main
 from conftest import roots_of_unity_just_below_tau
@@ -225,6 +226,7 @@ class TestInputHandling:
         ["certify", "--coeffs", "1,0,-1", "--guess", "2,-2", "--p", "nan"],
         ["solve", "--coeffs", "1,0"],
         ["solve", "--coeffs", "1,inf,-1"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--seed", "3"],
     ])
     def test_out_of_range_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -239,6 +241,13 @@ class TestInputHandling:
         assert code == 1
         assert "input error" in err
         assert out == ""
+
+    def test_guess_in_file_takes_precedence_over_seed(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, 0, -1], [1.2, -0.6, 0.1])
+        one = ["solve", "--input", str(tmp_path / "a.json"), "--no-certificate"]
+        seeded = run_cli(capsys, *one, "--seed", "3", "--json")
+        assert seeded == run_cli(capsys, *one, "--json")
+        assert seeded[0] == 0 and seeded[2] == ""
 
     def test_non_finite_guess_in_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -381,6 +390,57 @@ class TestBatch:
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
         assert code == 1
         assert "no JSON files" in err
+
+
+class TestOutputForm:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--json"],
+        ["solve", "--coeffs", "1,0,-1", "--guess", "0.6,-0.6", "--json"],
+        ["certify", "--coeffs", "1,0,-1", "--guess", "2,-2", "--json"],
+        ["disks", "--coeffs", "1,0,-1", "--guess", "2,-2", "--json"],
+        ["thresholds", "--n", "4", "--json"],
+    ])
+    def test_json_is_one_compact_line(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    def test_batch_is_one_compact_line(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        _write_request(tmp_path / "b.json", [1, 0, -4])
+        code, out, _ = run_cli(capsys, "solve", "--batch", str(tmp_path))
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    def test_certified_solve_round_trips_bitwise(self, capsys, tmp_path):
+        # at --tol 1e-6 the run stops with non-zero radii, and roots and
+        # disk centers keep the -0.0 imaginary parts of the guess
+        coeffs = [1.0, -6.0, 11.0, -6.0]
+        guess = [complex(0.9, -0.0), complex(2.1, 0.0), complex(3.1, -0.0)]
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({
+            "coeffs": [{"re": c, "im": 0.0} for c in coeffs],
+            "guess": [{"re": z.real, "im": z.imag} for z in guess]}))
+        code, data, _ = run_json(capsys, "solve", "--input", str(path),
+                                 "--tol", "1e-6")
+        result = solve(Polynomial(coeffs), np.array(guess),
+                       SolveConfig(w_tol=1e-6))
+        assert code == 0 and result.certificate.issued and result.disks
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        final = result.final.tolist()
+        want_roots = bits(v for z in final for v in (z.real, z.imag))
+        assert "-0x0.0p+0" in want_roots and "0x0.0p+0" in want_roots
+        assert bits(v for z in data["roots"] for v in (z["re"], z["im"])) == want_roots
+        assert bits(data["certificate"]["rho"]) == bits(result.certificate.rho)
+        centers = [d["center"] for d in data["disks"]]
+        assert bits(v for c in centers for v in (c["re"], c["im"])) == bits(
+            v for d in result.disks for v in (d.center.real, d.center.imag))
+        assert bits(d["radius"] for d in data["disks"]) == bits(
+            d.radius for d in result.disks)
+        assert all(d.radius > 0 for d in result.disks)
 
 
 def test_main_reuses_parser_without_carrying_state(capsys):
