@@ -142,16 +142,19 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
     >= tau or is NaN, where psi(E) rounds to <= 0 just below tau and where
     a gauge function overflows or divides by zero.  A strict certificate
     has order 3: beta is quasi-homogeneous of degree 2, plus one."""
+    phi0 = math.inf
     try:
-        inside = m.E < bundle.tau and bundle.psi(m.E) > 0.0
-        phi0 = bundle.phi(m.E) if inside else math.inf
+        # psi(E) and beta(E) once each; beta0 / psi0 is GaugeBundle.phi(E)
+        if m.E < bundle.tau and (psi0 := bundle.psi(m.E)) > 0.0:
+            beta0 = bundle.beta(m.E)
+            phi0 = beta0 / psi0
     except (OverflowError, ZeroDivisionError):
-        phi0 = math.inf
+        pass  # phi0 stays inf, so nothing is issued
     issued = phi0 <= 1.0
     strict = issued and phi0 < 1.0
     if issued:
-        lam, theta = phi0, bundle.psi(m.E)
-        rho = bundle.gamma(m.E) / (1.0 - bundle.beta(m.E)) * np.abs(m.w)
+        lam, theta = phi0, psi0
+        rho = bundle.gamma(m.E) / (1.0 - beta0) * np.abs(m.w)
     else:
         lam, theta, rho = math.nan, math.nan, None
     return Certificate(bundle=bundle, E0=m.E, phi0=phi0, strict=strict,

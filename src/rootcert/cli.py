@@ -6,10 +6,11 @@ with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]};
 solve --batch DIR solves each JSON file of DIR as --input would.  solve
 --seed rotates the default starting points and conflicts with --guess; a
 guess in an --input file takes precedence over it.  --json and --batch
-print the payload as one JSON line through json's C encoder (any indent
-would select its pure-Python one); pipe it through python -m json.tool
-to indent it.  Each subcommand returns (exit status, payload, text
-lines); _attempt turns a failure into a status and one stderr line.
+print the payload as one line from json's C encoder (an indent selects
+the pure-Python one; python -m json.tool indents).  Each subcommand
+returns (exit status, payload, render); render() gives the text lines,
+built only when printed.  _attempt turns a failure into a status, one
+stderr line and an empty render.
 Exit status: 0 on success, 2 on an unissued certificate in
 require-certificate mode, 1 on input and usage errors; a batch exits 1
 if any file failed, else 2 if any certificate was not issued.
@@ -124,20 +125,22 @@ def _cmd_solve(args) -> tuple:
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
     result = solve(f, guess, cfg)
-    payload = _result_to_json(result)
+    status = 2 if cfg.require_certificate and not result.certificate.issued else 0
+    return status, _result_to_json(result), lambda: _solve_lines(cfg, result)
+
+
+def _solve_lines(cfg: SolveConfig, result) -> list:
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
         c = result.certificate
         lines.append(f"certificate issued: {c.issued}   E0 = {c.E0:.6g}   "
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
-    for i, z in enumerate(result.final):
-        lines.append(f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j")
-    lines += _disk_lines(result.disks)
+    lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
+              for i, z in enumerate(result.final)] + _disk_lines(result.disks)
     if result.order_estimate is not None:
         lines.append(f"order estimate: {result.order_estimate:.3f}")
-    unissued = cfg.require_certificate and not result.certificate.issued
-    return (2 if unissued else 0), payload, lines
+    return lines
 
 
 def _solve_batch(args) -> tuple:
@@ -158,7 +161,7 @@ def _solve_batch(args) -> tuple:
             results[path.name] = payload
     # a failed file outranks an unissued certificate
     status = 1 if 1 in statuses else max(statuses)
-    return status, results, [json.dumps(results)]
+    return status, results, lambda: [json.dumps(results)]
 
 
 def _point_request(args) -> tuple:
@@ -172,23 +175,22 @@ def _point_request(args) -> tuple:
 
 def _cmd_certify(args) -> tuple:
     cert = certify_initial(*_point_request(args))
-    lines = [f"issued: {cert.issued}   strict: {cert.strict}",
-             f"E0 = {cert.E0:.6g}   tau = {cert.bundle.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
-    return (0 if cert.issued else 2), {"certificate": cert.to_dict()}, lines
+    return (0 if cert.issued else 2), {"certificate": cert.to_dict()}, lambda: [
+        f"issued: {cert.issued}   strict: {cert.strict}",
+        f"E0 = {cert.E0:.6g}   tau = {cert.bundle.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
 
 
 def _cmd_disks(args) -> tuple:
     disks, disjoint = inclusion_disks(*_point_request(args))
     return 0, _disks_payload(disks, disjoint), \
-        [f"disjoint: {disjoint}"] + _disk_lines(disks)
+        lambda: [f"disjoint: {disjoint}"] + _disk_lines(disks)
 
 
 def _cmd_thresholds(args) -> tuple:
-    n = args.n
     rows = []
     for method in (MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV):
         for p in (1.0, 2.0, math.inf):
-            ctx = norm_context(n, p)
+            ctx = norm_context(args.n, p)
             try:
                 value = corollary_threshold(method, ctx)
             except UnsupportedCombination:
@@ -196,9 +198,9 @@ def _cmd_thresholds(args) -> tuple:
             rows.append({"method": method.value,
                          "p": "inf" if math.isinf(p) else p,
                          "threshold": value})
-    lines = [f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}"
-             for r in rows]
-    return 0, {"n": n, "thresholds": rows}, lines
+    return 0, {"n": args.n, "thresholds": rows}, lambda: [
+        f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}"
+        for r in rows]
 
 
 def _add_common(sub):
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attempt(cmd, args, prefix: str = "") -> tuple:
-    """(status, payload, lines) of cmd(args); a failure instead prints one
+    """(status, payload, render) of cmd(args); a failure instead prints one
     stderr line, with prefix before its message, and gives no payload."""
     try:
         return cmd(args)
@@ -267,18 +269,18 @@ def _attempt(cmd, args, prefix: str = "") -> tuple:
     except RootCertError as exc:
         status, line = 1, f"error: {prefix}{exc}"
     print(line, file=sys.stderr)
-    return status, None, []
+    return status, None, lambda: []
 
 
 def _request(argv) -> tuple:
     args = build_parser().parse_args(argv)
-    status, payload, lines = args.func(args)
-    return status, payload, [json.dumps(payload)] if args.json else lines
+    status, payload, render = args.func(args)
+    return status, payload, (lambda: [json.dumps(payload)]) if args.json else render
 
 
 def main(argv=None) -> int:
-    status, _, lines = _attempt(_request, argv)
-    for line in lines:
+    status, _, render = _attempt(_request, argv)
+    for line in render():
         print(line)
     return status
 

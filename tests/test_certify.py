@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -312,6 +313,45 @@ class TestVerdictNearTau:
                         if cert.issued:
                             assert 0 <= cert.phi0 <= 1 and cert.theta > 0
                             assert np.all(cert.rho >= 0)
+
+    @pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV,
+                                        MethodKind.TANABE])
+    def test_gauge_values_computed_once_and_match_phi(self, method):
+        calls = {"psi": 0, "beta": 0}
+
+        def counted(name, g):
+            def wrapped(t):
+                calls[name] += 1
+                return g(t)
+            return wrapped
+
+        for n, p in [(2, INF), (3, 1.5), (17, 1.0), (64, 2.0)]:
+            b = gauge_bundle(method, norm_context(n, p))
+            counting = dataclasses.replace(b, psi=counted("psi", b.psi),
+                                           beta=counted("beta", b.beta))
+            es = [float(e) for e in np.linspace(0.0, b.tau, 200, endpoint=False)]
+            es += [math.nextafter(b.tau, 0), b.tau, 2 * b.tau, math.nan]
+            for e in es:
+                m = _measurement_at(e, n)
+                calls.update(psi=0, beta=0)
+                cert = certificate_at(counting, m)
+                assert calls["psi"] <= 1 and calls["beta"] <= 1
+                # the certificate as bundle.phi, psi and beta give it
+                try:
+                    phi0 = b.phi(e) if e < b.tau and b.psi(e) > 0 else INF
+                except (OverflowError, ZeroDivisionError):
+                    phi0 = INF
+                issued = phi0 <= 1
+                assert (cert.issued, cert.strict) == (issued, issued and phi0 < 1)
+                assert cert.phi0.hex() == phi0.hex()
+                if issued:
+                    assert cert.lam.hex() == phi0.hex()
+                    assert cert.theta.hex() == b.psi(e).hex()
+                    rho = b.gamma(e) / (1.0 - b.beta(e)) * np.abs(m.w)
+                    assert cert.rho.tobytes() == rho.tobytes()
+                else:
+                    assert math.isnan(cert.lam) and math.isnan(cert.theta)
+                    assert cert.rho is None
 
     def test_certify_and_solve_decline_where_beta_overflows(self):
         ctx = norm_context(300, 2.0)

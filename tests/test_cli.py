@@ -442,6 +442,74 @@ class TestOutputForm:
             d.radius for d in result.disks)
         assert all(d.radius > 0 for d in result.disks)
 
+    @pytest.mark.parametrize("coeffs, guess, options, cfg, disks", [
+        # issued, stopped at --tol 1e-6 with non-zero radii
+        ("1,-6,11,-6", "0.9,2.1,3.1", ["--tol", "1e-6"], SolveConfig(w_tol=1e-6), 3),
+        ("1,0,-1", "0.6,-0.6", [], SolveConfig(), 0),  # not issued: exit 2
+        ("1,0,-1", "0.6,-0.6", ["--no-certificate"],
+         SolveConfig(require_certificate=False), 0),
+    ])
+    def test_solve_text_formats_the_result(self, capsys, coeffs, guess, options,
+                                           cfg, disks):
+        code, out, err = run_cli(capsys, "solve", "--coeffs", coeffs,
+                                 "--guess", guess, *options)
+        result = solve(Polynomial(cli.reals(coeffs)), cli.reals(guess), cfg)
+        c = result.certificate
+        want = [f"method: ehrlich   converged: {result.converged}   "
+                f"iterations: {result.iterations}",
+                f"certificate issued: {c.issued}   E0 = {c.E0:.6g}   "
+                f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}"]
+        want += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
+                 for i, z in enumerate(result.final)]
+        want += [f"disk[{i}]: center = {d.center:.15g}, radius = {d.radius:.3e}"
+                 for i, d in enumerate(result.disks)]
+        assert result.order_estimate is None and len(result.disks) == disks
+        assert out.splitlines() == want and err == ""
+        assert code == (2 if cfg.require_certificate and not c.issued else 0)
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["certify", "--coeffs", "1,0,-1", "--guess", "2,-2"], 0,
+         "issued: True   strict: True\n"
+         "E0 = 0.1875   tau = 0.333333   phi(E0) = 0.183673\n"),
+        (["certify", "--method", "dochev-byrnev", "--p", "1", "--coeffs", "1,0,-1",
+          "--guess", "1.1,-0.9"], 0,
+         "issued: True   strict: True\n"
+         "E0 = 0.1   tau = 0.618034   phi(E0) = 0.0364082\n"),
+        (["certify", "--coeffs", "1,0,-1", "--guess", "0.6,-0.6"], 2,
+         "issued: False   strict: False\n"
+         "E0 = 0.444444   tau = 0.333333   phi(E0) = inf\n"),
+        (["disks", "--coeffs", "1,0,-1", "--guess", "2,-2"], 0,
+         "disjoint: True\n"
+         "disk[0]: center = 2+0j, radius = 1.024e+00\n"
+         "disk[1]: center = -2+0j, radius = 1.024e+00\n"),
+        (["thresholds", "--n", "4"], 0,
+         "ehrlich        p=1.0   threshold=0.25\n"
+         "ehrlich        p=2.0   threshold=0.1830127019\n"
+         "ehrlich        p=inf   threshold=0.125\n"
+         "dochev-byrnev  p=1.0   threshold=0.263606336\n"
+         "dochev-byrnev  p=inf   threshold=0.1111111111\n"),
+    ])
+    def test_text_lines(self, capsys, argv, code, text):
+        assert run_cli(capsys, *argv) == (code, text, "")
+
+    def test_json_and_batch_render_no_text(self, capsys, tmp_path, monkeypatch):
+        # the text of a solve is built only when it is printed
+        _write_request(tmp_path / "a.json", [1, -6, 11, -6], [0.9, 2.1, 3.1])
+        _write_request(tmp_path / "b.json", [1, 0, -4])
+        single = ["solve", "--input", str(tmp_path / "a.json"), "--json"]
+        batch = ["solve", "--batch", str(tmp_path)]
+        want = [run_cli(capsys, *single), run_cli(capsys, *batch)]
+
+        def no_text(*args):
+            raise AssertionError("text rendered where it is not printed")
+
+        monkeypatch.setattr(cli, "_solve_lines", no_text)
+        monkeypatch.setattr(cli, "_disk_lines", no_text)
+        assert [run_cli(capsys, *single), run_cli(capsys, *batch)] == want
+        assert [code for code, _, _ in want] == [0, 0]
+        with pytest.raises(AssertionError, match="text rendered"):
+            main(single[:-1])
+
 
 def test_main_reuses_parser_without_carrying_state(capsys):
     # each call of a sequence through one parser prints and returns what
