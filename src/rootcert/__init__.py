@@ -18,13 +18,11 @@ from .certify import (
 from .errors import (
     BadExponent,
     DegreeMismatch,
-    EvaluationPointCollision,
     LeadingCoefficientZero,
     NonDistinctComponents,
     NotCertified,
     OutsideDomain,
     RootCertError,
-    SingularJacobian,
     UnsupportedCombination,
 )
 from .iterations import (
@@ -44,21 +42,9 @@ from .measures import (
     separation,
     weierstrass_correction,
 )
-from .oracle import (
-    MatchedRoots,
-    cone_norm,
-    dochev_byrnev_step,
-    ehrlich_step_newton,
-    known_instance,
-    match_roots,
-    newton_viete_step,
-    sigma_sum,
-)
 from .polynomials import (
     Polynomial,
-    coeff_vector,
     evaluate,
-    evaluate_with_derivatives,
     from_roots,
     viete,
 )

@@ -22,10 +22,6 @@ class BadExponent(RootCertError, ValueError):
     """p-norm exponent outside [1, inf]."""
 
 
-class EvaluationPointCollision(RootCertError):
-    """A sigma-type sum was requested at a point equal to some x_j."""
-
-
 class OutsideDomain(RootCertError):
     """An Ehrlich denominator vanishes: x lies outside the iteration domain."""
 
@@ -36,7 +32,3 @@ class NotCertified(RootCertError):
 
 class UnsupportedCombination(RootCertError):
     """The requested (method, p) combination is not covered by the theory."""
-
-
-class SingularJacobian(RootCertError):
-    """The finite-difference Jacobian of the Viete system is singular."""

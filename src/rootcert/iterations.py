@@ -7,7 +7,8 @@ through the Tanabe map, since the two methods are identical.  The public
 ``*_step(f, x)`` functions compute W and D as ``measure`` does and apply
 the same map; each maps an exact root vector to itself bitwise, since W
 then evaluates to exactly zero.
-The algebraically identical reference forms live in ``rootcert.oracle``.
+The algebraically identical reference forms are test oracles in
+``tests/oracle.py``, not part of the package.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-"""Complex polynomials: blocked Horner evaluation, derivatives and Viete
-expansion.
+"""Complex polynomials: blocked Horner evaluation and Viete expansion.
 
 Coefficients are stored leading-first, so ``coeffs[0]`` multiplies ``z**n``.
 All arithmetic is complex binary64.
@@ -103,24 +102,6 @@ def evaluate(f: Polynomial, z):
     return value.reshape(z.shape)[()]
 
 
-def evaluate_with_derivatives(f: Polynomial, z):
-    """Return (f(z), f'(z), f''(z)) at z (scalar or array).
-
-    f(z) comes from :func:`evaluate`, so both agree bitwise; f' and f''
-    come from synthetic division, whose running value p stops short of
-    the last coefficient.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    p = np.full(z.shape, f.coeffs[0])
-    dp = np.zeros(z.shape, dtype=np.complex128)
-    d2p = np.zeros(z.shape, dtype=np.complex128)
-    for c in f.coeffs[1:-1]:
-        d2p = d2p * z + 2.0 * dp
-        dp = dp * z + p
-        p = p * z + c
-    return evaluate(f, z), dp * z + p, d2p * z + 2.0 * dp
-
-
 def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """Expand leading * prod(z - r_i) into a Polynomial.
 
@@ -129,17 +110,12 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 
-def coeff_vector(f: Polynomial) -> np.ndarray:
-    """Coefficients normalized by the leading one: (C_1/C_0, ..., C_n/C_0)."""
-    return f.coeffs[1:] / f.coeffs[0]
-
-
 def viete(x) -> np.ndarray:
     """Signed elementary symmetric polynomials of x.
 
     Returns the coefficient vector (without the leading 1) of the monic
     polynomial with roots x; a vector x solves the Viete system of f
-    exactly when viete(x) == coeff_vector(f).
+    exactly when viete(x) == f.coeffs[1:] / f.coeffs[0].
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.size < 2:

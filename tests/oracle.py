@@ -1,7 +1,10 @@
 """Test-support oracles: known-answer instance generation, root matching,
 a finite-difference Newton step on the Viete system, the plain Horner
-recurrence, and the reference forms of the iterations that the identity
-tests compare against.
+recurrence, derivatives by synthetic division, and the reference forms of
+the iterations that the identity tests compare against.
+
+None of this is part of the rootcert package; the tests import it the way
+they import ``conftest``.
 
 The Newton step is deliberately independent of the main iteration code
 path: the Jacobian comes from central differences on the Viete function
@@ -17,22 +20,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationPointCollision, OutsideDomain, SingularJacobian
-from .iterations import StepResult
-from .measures import separation, weierstrass_correction
-from .polynomials import (
+from rootcert import (
+    OutsideDomain,
     Polynomial,
-    coeff_vector,
-    evaluate_with_derivatives,
+    StepResult,
+    evaluate,
     from_roots,
+    separation,
     viete,
+    weierstrass_correction,
 )
+
+
+class EvaluationPointCollision(Exception):
+    """A sigma-type sum was requested at a point equal to some x_j."""
+
+
+class SingularJacobian(Exception):
+    """The finite-difference Jacobian of the Viete system is singular."""
 
 
 @dataclass(frozen=True)
 class MatchedRoots:
     permutation: tuple
     max_abs_error: float
+
+
+def evaluate_with_derivatives(f: Polynomial, z):
+    """Return (f(z), f'(z), f''(z)) at z (scalar or array).
+
+    f(z) comes from :func:`rootcert.evaluate`, so both agree bitwise; f'
+    and f'' come from synthetic division, whose running value p stops
+    short of the last coefficient.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    p = np.full(z.shape, f.coeffs[0])
+    dp = np.zeros(z.shape, dtype=np.complex128)
+    d2p = np.zeros(z.shape, dtype=np.complex128)
+    for c in f.coeffs[1:-1]:
+        d2p = d2p * z + 2.0 * dp
+        dp = dp * z + p
+        p = p * z + c
+    return evaluate(f, z), dp * z + p, d2p * z + 2.0 * dp
+
+
+def coeff_vector(f: Polynomial) -> np.ndarray:
+    """Coefficients normalized by the leading one: (C_1/C_0, ..., C_n/C_0);
+    a vector x solves the Viete system of f exactly when
+    viete(x) == coeff_vector(f)."""
+    return f.coeffs[1:] / f.coeffs[0]
+
+
+def horner(f: Polynomial, z):
+    """f at z (scalar or array) by the plain Horner recurrence, one pass per
+    coefficient; the reference that the blocked ``evaluate`` is tested
+    against."""
+    z = np.asarray(z, dtype=np.complex128)
+    acc = np.full(z.shape, f.coeffs[0])
+    for c in f.coeffs[1:]:
+        acc = acc * z + c
+    return acc
 
 
 def known_instance(roots, perturbation: float, seed: int):
@@ -50,17 +97,6 @@ def known_instance(roots, perturbation: float, seed: int):
         x0 = roots + radii * np.exp(1j * angles)
         if separation(x0).min() > 0.0:
             return f, x0
-
-
-def horner(f: Polynomial, z):
-    """f at z (scalar or array) by the plain Horner recurrence, one pass per
-    coefficient; the reference that the blocked ``evaluate`` is tested
-    against."""
-    z = np.asarray(z, dtype=np.complex128)
-    acc = np.full(z.shape, f.coeffs[0])
-    for c in f.coeffs[1:]:
-        acc = acc * z + c
-    return acc
 
 
 def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,11 +171,6 @@ def match_roots(found, truth) -> MatchedRoots:
         perm.append(j)
     err = max(dist[i, perm[i]] for i in range(n))
     return MatchedRoots(tuple(perm), float(err))
-
-
-def cone_norm(v) -> np.ndarray:
-    """Componentwise modulus |v_i| of a complex vector."""
-    return np.abs(np.asarray(v, dtype=np.complex128))
 
 
 def sigma_sum(w, x, i: int, at: complex) -> complex:

@@ -20,19 +20,12 @@ from rootcert import (
     a_priori_bound,
     certify_initial,
     corollary_threshold,
-    dochev_byrnev_step,
     e_measure,
     ehrlich_step_bs,
-    ehrlich_step_newton,
     estimate_order,
-    evaluate_with_derivatives,
     gauge_bundle,
     inclusion_disks,
-    known_instance,
-    match_roots,
-    newton_viete_step,
     norm_context,
-    sigma_sum,
     solve,
     solve_R,
     tanabe_step,
@@ -41,6 +34,15 @@ from rootcert import (
     SolveConfig,
 )
 from conftest import random_distinct_points, random_monic, well_separated_roots
+from oracle import (
+    dochev_byrnev_step,
+    ehrlich_step_newton,
+    evaluate_with_derivatives,
+    known_instance,
+    match_roots,
+    newton_viete_step,
+    sigma_sum,
+)
 
 INF = math.inf
 METHODS = (MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV)

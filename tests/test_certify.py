@@ -20,7 +20,6 @@ from rootcert import (
     a_priori_bound,
     certify_initial,
     corollary_threshold,
-    dochev_byrnev_step,
     e_measure,
     ehrlich_step_bs,
     from_roots,
@@ -36,6 +35,7 @@ from rootcert import (
 from rootcert.certify import _K_CAP, certificate_at, disks_at
 from rootcert.measures import differences
 from conftest import roots_of_unity_just_below_tau, well_separated_roots
+from oracle import dochev_byrnev_step
 
 INF = math.inf
 F = Polynomial([1, 0, -1])
@@ -469,13 +469,23 @@ class TestSolveR:
         assert self.lhs(solve_R()) <= 1
 
     def test_import_does_not_load_scipy(self):
+        # nor does the package ship the test oracles, as a module or as names
+        test_support = ("MatchedRoots", "cone_norm", "dochev_byrnev_step",
+                        "ehrlich_step_newton", "known_instance", "match_roots",
+                        "newton_viete_step", "sigma_sum",
+                        "evaluate_with_derivatives", "coeff_vector",
+                        "SingularJacobian", "EvaluationPointCollision")
         src = os.path.dirname(os.path.dirname(rootcert.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rootcert; print('scipy' in sys.modules)"],
+             "import importlib.util, sys, rootcert\n"
+             "print('scipy' in sys.modules)\n"
+             "print('rootcert.oracle' in sys.modules)\n"
+             "print(importlib.util.find_spec('rootcert.oracle') is not None)\n"
+             f"print([n for n in {test_support!r} if hasattr(rootcert, n)])"],
             capture_output=True, text=True, check=True, env=env, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split("\n") == ["False", "False", "False", "[]", ""]
 
 
 @pytest.mark.parametrize("method", [MethodKind.EHRLICH,

@@ -8,20 +8,22 @@ from rootcert import (
     NonDistinctComponents,
     OutsideDomain,
     Polynomial,
-    dochev_byrnev_step,
     e_measure,
     ehrlich_step_bs,
-    ehrlich_step_newton,
-    evaluate_with_derivatives,
     from_roots,
     gauge_bundle,
     norm_context,
-    sigma_sum,
     tanabe_step,
     weierstrass_correction,
     weierstrass_step,
 )
 from conftest import random_distinct_points, random_monic
+from oracle import (
+    dochev_byrnev_step,
+    ehrlich_step_newton,
+    evaluate_with_derivatives,
+    sigma_sum,
+)
 
 F = Polynomial([1, 0, -1])
 X = np.array([2.0, -2.0], dtype=complex)

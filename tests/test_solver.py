@@ -13,15 +13,12 @@ from rootcert import (
     UnsupportedCombination,
     a_posteriori_bound_1,
     a_priori_bound,
-    coeff_vector,
     default_init,
     e_measure,
     ehrlich_step_bs,
     estimate_order,
     from_roots,
     gauge_bundle,
-    known_instance,
-    match_roots,
     norm_context,
     solve,
     tanabe_step,
@@ -30,6 +27,7 @@ from rootcert import (
     weierstrass_step,
 )
 from conftest import random_monic, well_separated_roots
+from oracle import coeff_vector, known_instance, match_roots
 
 INF = math.inf
 F = Polynomial([1, 0, -1])
