@@ -10,7 +10,8 @@ print the payload as one line from json's C encoder (an indent selects
 the pure-Python one; python -m json.tool indents).  Each subcommand
 returns (exit status, payload, render); render() gives the text lines,
 built only when printed.  _attempt turns a failure into a status, one
-stderr line and an empty render.
+stderr line and an empty render.  Requests run with numpy's
+floating-point warnings off, so stderr carries only those lines.
 Exit status: 0 on success, 2 on an unissued certificate in
 require-certificate mode, 1 on input and usage errors; a batch exits 1
 if any file failed, else 2 if any certificate was not issued.
@@ -274,7 +275,10 @@ def _attempt(cmd, args, prefix: str = "") -> tuple:
 
 def _request(argv) -> tuple:
     args = build_parser().parse_args(argv)
-    status, payload, render = args.func(args)
+    # overflow and NaN show in the output (E0 = inf, null in JSON) and in
+    # the exit status; numpy's warnings would only repeat them on stderr
+    with np.errstate(all="ignore"):
+        status, payload, render = args.func(args)
     return status, payload, (lambda: [json.dumps(payload)]) if args.json else render
 
 

@@ -1,10 +1,12 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
 
-``measure`` is the only place where W, d and E are computed; the public
-``weierstrass_correction`` and ``e_measure`` read the same computation.
-Each of d, W and sigma is a reduction of one pairwise-difference matrix
-per point vector, built by ``differences``.
+``measure`` computes W, d and E together; its d, which E needs anyway,
+also decides that the components are distinct.  ``corrections``, behind
+``weierstrass_correction`` and the public steps, computes W by the same
+formula but reduces no separations unless a product over j != i is zero
+or not finite.  Each of d, W and sigma is a reduction of one
+pairwise-difference matrix per point vector, built by ``differences``.
 """
 
 from __future__ import annotations
@@ -110,29 +112,59 @@ class Measurement:
     diff: np.ndarray = field(repr=False)
 
 
-def corrections(f: Polynomial, x) -> tuple:
-    """(W_f(x), d(x), differences(x)) after checking that x has deg f
-    distinct components."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size != f.degree:
-        raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
-    diff = differences(x)
-    d = separation(x, diff)
+def _reject_coinciding(d: np.ndarray) -> None:
+    """Raise NonDistinctComponents where a separation d_i is zero."""
     if np.any(d == 0.0):
         i = int(np.argmin(d))
         raise NonDistinctComponents(f"components coincide (index {i})")
-    return evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0)), d, diff
+
+
+def _checked(f: Polynomial, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.size != f.degree:
+        raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
+    return x
+
+
+def _w(f: Polynomial, x: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """W_i = f(x_i) / (C_0 * prod_i), prod_i the product over j != i of
+    (x_i - x_j)."""
+    return evaluate(f, x) / (f.coeffs[0] * prod)
+
+
+def corrections(f: Polynomial, x) -> tuple:
+    """(W_f(x), differences(x)) after checking that x has deg f distinct
+    components.
+
+    A finite nonzero product over j != i of (x_i - x_j) proves component
+    i distinct from the others: in binary64 complex arithmetic a product
+    with a zero factor is 0 or NaN.  Only where a product is zero or not
+    finite (underflow, overflow, NaN input) are the separations reduced,
+    to raise the NonDistinctComponents that measure raises.
+    """
+    x = _checked(f, x)
+    diff = differences(x)
+    prod = np.prod(diff, axis=0)
+    if not np.all(np.isfinite(prod) & (prod != 0.0)):
+        _reject_coinciding(separation(x, diff))
+    return _w(f, x, prod), diff
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The one evaluation of W, d and E at x that a step, a trace entry,
-    a certificate and a set of disks all read."""
-    w, d, diff = corrections(f, x)
+    a certificate and a set of disks all read.  E needs d anyway, so d
+    also decides distinctness here."""
+    x = _checked(f, x)
+    diff = differences(x)
+    d = separation(x, diff)
+    _reject_coinciding(d)
+    w = _w(f, x, np.prod(diff, axis=0))
     return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
-    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j))."""
+    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j)), with no
+    separations reduced unless a product is zero or not finite."""
     return corrections(f, x)[0]
 
 

@@ -141,7 +141,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     if certificate is not None and certificate.issued:
         at_final = certificate_at(bundle, m)
         if at_final.issued:
-            disks, disjoint = disks_at(x, at_final, m.diff)
+            disks, disjoint = disks_at(x, at_final, m)
 
     return SolveResult(trace=trace, certificate=certificate, final=x,
                        disks=disks, disjoint=disjoint, converged=converged,

@@ -396,19 +396,38 @@ class TestDisks:
         with pytest.raises(NotCertified):
             inclusion_disks(F, [0.6, -0.6], b)
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(40))
     def test_disjointness_matches_pairwise_loop(self, seed):
-        # at E = 0 the radii are exactly |W_i|; on points 1 apart these W
-        # give both touching and separate neighbours, and touching counts
-        # as overlap
+        # points 1 apart, n up to 12, with one of four radius mixes; at
+        # E = 0 the radii are exactly |W_i|, and the flag must be the
+        # brute-force answer, touching counting as overlap
         rng = np.random.default_rng(9000 + seed)
-        n = int(rng.integers(2, 6))
+        mix = ("mixed", "touching", "far", "tiny")[seed % 4]
+        n = int(rng.integers(3 if mix == "far" else 2, 13))
         x = rng.permutation(n) + 0j
-        w = rng.choice([0.25, 0.5], size=n) + 0j
+        if mix == "mixed":
+            # both touching (0.5 + 0.5) and separate (0.25 + 0.5) neighbours
+            w = rng.choice([0.25, 0.5], size=n)
+        elif mix == "touching":
+            w = np.full(n, 0.5)
+        elif mix == "tiny":
+            w = rng.uniform(0.0, 1e-300, size=n)
+        else:
+            # one large disk 64 away from the rest: it stays apart, touches
+            # or overlaps its neighbour
+            far = int(np.argmax(x.real))
+            x[far] += 63.0
+            w = np.full(n, 0.25)
+            w[far] = rng.choice([32.0, 63.5, 63.75, 64.0])
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
-        m = Measurement(w=w, d=separation(x), E=0.0, diff=differences(x))
-        disks, disjoint = disks_at(x, certificate_at(b, m), m.diff)
-        radii = [d.radius for d in disks]
+        # tiny radii pass the O(n) test on d, which must then never read diff
+        m = Measurement(w=w + 0j, d=separation(x), E=0.0,
+                        diff=None if mix == "tiny" else differences(x))
+        disks, disjoint = disks_at(x, certificate_at(b, m), m)
+        radii = np.array([d.radius for d in disks])
+        if mix == "far":
+            # r_i + max r >= d_i for the others: the pairwise test decides
+            assert not np.all(radii + radii.max() < m.d)
         want = all(abs(x[i] - x[j]) > radii[i] + radii[j]
                    for i in range(n) for j in range(i + 1, n))
         assert disjoint is want
@@ -421,7 +440,7 @@ class TestDisks:
         m = Measurement(w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0,
                         diff=differences(X))
         for disks, _ in (inclusion_disks(F, x, b),
-                         disks_at(x, certificate_at(b, m), m.diff)):
+                         disks_at(x, certificate_at(b, m), m)):
             assert [d.center for d in disks] == [2, -2]
             for d in disks:
                 assert type(d.center) is complex

@@ -270,6 +270,20 @@ class TestInputHandling:
         assert data["certificate"]["issued"] is False
         assert data["certificate"]["E0"] is None
 
+    @pytest.mark.parametrize("subcommand, err_lines", [
+        ("solve", 0), ("certify", 0), ("disks", 1)])
+    def test_overflowing_measure_leaves_stderr_clean(self, capsys, subcommand,
+                                                     err_lines):
+        # no RuntimeWarning mark: pyproject's error::RuntimeWarning turns
+        # any numpy warning that leaks out of the request into a failure;
+        # the non-finite E0 shows in the output and the exit status
+        code, _, err = run_cli(capsys, subcommand, "--coeffs", "1,0,-1",
+                               "--guess", "1e300,-1e300")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == err_lines
+        assert all(line.startswith("not certified: ") for line in lines)
+
     @pytest.mark.parametrize("content", [
         "5",
         "null",

@@ -21,7 +21,9 @@ from rootcert import (
     separation,
     tanabe_step,
     weierstrass_correction,
+    weierstrass_step,
 )
+from rootcert import measures
 from rootcert.measures import sigmas
 from conftest import random_distinct_points, random_monic
 from oracle import (
@@ -85,6 +87,64 @@ def test_weierstrass_correction_errors():
         weierstrass_correction(f, [2, 2])
     with pytest.raises(DegreeMismatch):
         weierstrass_correction(f, [1, 2, 3])
+
+
+W_ALONE = {
+    "weierstrass_correction": weierstrass_correction,
+    "weierstrass_step": lambda f, x: weierstrass_step(f, x).corrections,
+    "ehrlich_step_bs": lambda f, x: ehrlich_step_bs(f, x).corrections,
+    "tanabe_step": lambda f, x: tanabe_step(f, x).corrections,
+}
+
+
+def _count_separations(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, _original=measures.separation):
+        calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(measures, "separation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", W_ALONE)
+@pytest.mark.parametrize("seed", range(3))
+def test_w_alone_reduces_no_separations(monkeypatch, name, seed):
+    # on distinct components the finite nonzero products prove them
+    # distinct; W is measure's W, bitwise
+    rng = np.random.default_rng(4000 + seed)
+    f = random_monic(12, rng)
+    x = random_distinct_points(12, rng)
+    calls = _count_separations(monkeypatch)
+    w = W_ALONE[name](f, x)
+    assert calls == []
+    assert w.tobytes() == measure(f, x, norm_context(12, INF)).w.tobytes()
+
+
+@pytest.mark.parametrize("name", W_ALONE)
+@pytest.mark.parametrize("x", [[2.0, 2.0], [0.5, 3.0, 1.0, 3.0], [1j, 4.0, 1j]],
+                         ids=["pair", "later-pair", "first-and-last"])
+def test_w_alone_rejects_coinciding_components_as_measure_does(name, x):
+    f = random_monic(len(x), np.random.default_rng(41))
+    with pytest.raises(NonDistinctComponents) as want:
+        measure(f, x, norm_context(len(x), INF))
+    with pytest.raises(NonDistinctComponents) as got:
+        W_ALONE[name](f, x)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("name", ["weierstrass_correction", "weierstrass_step"])
+def test_w_alone_underflowing_products_fall_back_to_separations(monkeypatch, name):
+    # 64 distinct points 1e-7 apart: each product over j != i underflows
+    # to 0, so the separations decide (no zero among them) and W is
+    # measure's, infinite after the division by zero
+    f = random_monic(64, np.random.default_rng(64))
+    x = 1e-7 * np.arange(64) + 0j
+    calls = _count_separations(monkeypatch)
+    w = W_ALONE[name](f, x)
+    assert len(calls) == 1
+    assert w.tobytes() == measure(f, x, norm_context(64, INF)).w.tobytes()
 
 
 def test_e_measure_examples():
