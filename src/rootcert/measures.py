@@ -7,12 +7,22 @@ also decides that the components are distinct.  ``corrections``, behind
 formula but reduces no separations unless a product over j != i is zero
 or not finite.  Each of d, W and sigma is a reduction of one
 pairwise-difference matrix per point vector, built by ``differences``.
+
+Each point is measured once across the API.  Whenever ``solve`` returns
+it leaves W and d at x0 and at its final iterate in one module-level
+record, keyed by the exact bytes of f.coeffs and of the point, through
+``remember``; ``solve`` never reads it.  The public point functions
+(``measure``, ``e_measure``, ``weierstrass_correction``, the steps, the
+certificate, the a posteriori bounds and the disks) look there first
+through ``recall`` and on a hit return what a fresh measurement gives,
+bit for bit, in fresh arrays.  The record holds no matrix D: it is O(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -109,7 +119,9 @@ class Measurement:
     w: np.ndarray
     d: np.ndarray
     E: float
-    diff: np.ndarray = field(repr=False)
+    # None where the measurement came from the record and no reader has
+    # needed D yet
+    diff: Optional[np.ndarray] = field(repr=False)
 
 
 def _reject_coinciding(d: np.ndarray) -> None:
@@ -132,9 +144,71 @@ def _w(f: Polynomial, x: np.ndarray, prod: np.ndarray) -> np.ndarray:
     return evaluate(f, x) / (f.coeffs[0] * prod)
 
 
-def corrections(f: Polynomial, x) -> tuple:
-    """(W_f(x), differences(x)) after checking that x has deg f distinct
-    components.
+def measure_anew(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """W, d and E at x, measured without looking in the record: the one
+    evaluation per iterate that solve's step, trace, certificate and
+    disks all read.  E needs d anyway, so d also decides distinctness."""
+    x = _checked(f, x)
+    diff = differences(x)
+    d = separation(x, diff)
+    _reject_coinciding(d)
+    w = _w(f, x, np.prod(diff, axis=0))
+    return Measurement(w=w, d=d, E=_e(w, d, ctx), diff=diff)
+
+
+def _e(w: np.ndarray, d: np.ndarray, ctx: NormContext) -> float:
+    return p_norm(np.abs(w) / d, ctx.p)
+
+
+# (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
+# of the last solve.  Only remember writes it, by one assignment, so a
+# reader that takes it whole sees one solve's entries or another's.
+_record: tuple = (b"", ())
+
+
+def remember(f: Polynomial, *points) -> None:
+    """Replace the record with W and d at each (x, W, d) of points, x a
+    complex128 vector."""
+    global _record
+    _record = (f.coeffs.tobytes(),
+               tuple((x.tobytes(), w, d) for x, w, d in points))
+
+
+def _recalled(f: Polynomial, x: np.ndarray):
+    """Fresh copies of (W, d) at the complex128 vector x from the record,
+    or None where it holds no entry for exactly f and x."""
+    coeffs, points = _record
+    if points and coeffs == f.coeffs.tobytes():
+        key = x.tobytes()
+        for xb, w, d in points:
+            if xb == key:
+                return w.copy(), d.copy()
+    return None
+
+
+def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """measure's W, d and E at x, from the record where it holds x; then
+    diff is None, for the caller to build where it reads D."""
+    x = _checked(f, x)
+    hit = _recalled(f, x)
+    if hit is None:
+        return measure_anew(f, x, ctx)
+    w, d = hit
+    return Measurement(w=w, d=d, E=_e(w, d, ctx), diff=None)
+
+
+def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """The measurement of W, d and E at x with the matrix D they were
+    reduced from.  Where the last solve measured x (its x0 or its final
+    iterate) W and d come from the record and only D is rebuilt."""
+    m = recall(f, x, ctx)
+    if m.diff is None:
+        m = replace(m, diff=differences(x))
+    return m
+
+
+def _corrections(f: Polynomial, x: np.ndarray) -> tuple:
+    """(W_f(x), differences(x)) at the checked vector x.
 
     A finite nonzero product over j != i of (x_i - x_j) proves component
     i distinct from the others: in binary64 complex arithmetic a product
@@ -142,7 +216,6 @@ def corrections(f: Polynomial, x) -> tuple:
     finite (underflow, overflow, NaN input) are the separations reduced,
     to raise the NonDistinctComponents that measure raises.
     """
-    x = _checked(f, x)
     diff = differences(x)
     prod = np.prod(diff, axis=0)
     if not np.all(np.isfinite(prod) & (prod != 0.0)):
@@ -150,24 +223,25 @@ def corrections(f: Polynomial, x) -> tuple:
     return _w(f, x, prod), diff
 
 
-def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """The one evaluation of W, d and E at x that a step, a trace entry,
-    a certificate and a set of disks all read.  E needs d anyway, so d
-    also decides distinctness here."""
+def corrections(f: Polynomial, x) -> tuple:
+    """(W_f(x), differences(x)) after checking that x has deg f distinct
+    components; W comes from the record where it holds x."""
     x = _checked(f, x)
-    diff = differences(x)
-    d = separation(x, diff)
-    _reject_coinciding(d)
-    w = _w(f, x, np.prod(diff, axis=0))
-    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
+    hit = _recalled(f, x)
+    if hit is None:
+        return _corrections(f, x)
+    return hit[0], differences(x)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
     """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j)), with no
-    separations reduced unless a product is zero or not finite."""
-    return corrections(f, x)[0]
+    separations reduced unless a product is zero or not finite, and
+    nothing measured where the record holds x."""
+    x = _checked(f, x)
+    hit = _recalled(f, x)
+    return _corrections(f, x)[0] if hit is None else hit[0]
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:
     """E_f(x): the p-norm of the vector |W_i(x)| / d_i(x)."""
-    return measure(f, x, ctx).E
+    return recall(f, x, ctx).E

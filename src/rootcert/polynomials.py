@@ -35,7 +35,9 @@ class Polynomial:
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        # a copy, so the caller's array stays writable and no later write
+        # to it reaches coeffs, blocks or the hash
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.ndim != 1 or c.size < 3:
             raise ValueError("need at least 3 coefficients (degree >= 2)")
         if c[0] == 0:

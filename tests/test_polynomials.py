@@ -109,6 +109,19 @@ def test_value_equality_and_hash():
     assert len({f, g, Polynomial([1, 0, -2])}) == 2
 
 
+def test_coefficients_are_copied():
+    c = np.array([1, 0, -1], dtype=complex)
+    f = Polynomial(c)
+    assert c.flags.writeable and f.coeffs is not c
+    blocks = f.blocks.copy()
+    c[2] = -4
+    assert np.array_equal(f.coeffs, [1, 0, -1])
+    assert np.array_equal(f.blocks, blocks)
+    assert evaluate(f, 2) == 3
+    assert f == Polynomial([1, 0, -1]) and f != Polynomial(c)
+    assert hash(f) == hash(Polynomial([1, 0, -1]))
+
+
 @pytest.mark.parametrize("coeffs", [[1, 0], [1], [1, np.inf, -1], [1, 0, np.nan]])
 def test_short_or_non_finite_coefficients_rejected(coeffs):
     with pytest.raises(ValueError):

@@ -123,6 +123,17 @@ class TestSolve:
         assert res.iterations == 0
         assert res.disks == [] and not res.disjoint
 
+    @pytest.mark.parametrize("start", [[2.0, -2.0], [0.6, -0.6]],
+                             ids=["converged", "aborted"])
+    def test_result_does_not_alias_x0(self, start):
+        x0 = np.array(start, dtype=complex)
+        res = solve(F, x0)
+        final, first = res.final.copy(), res.trace.iterates[0].copy()
+        x0[:] = 7.0
+        assert np.array_equal(res.final, final)
+        assert np.array_equal(res.trace.iterates[0], first)
+        assert np.array_equal(first, start)
+
     def test_weierstrass_requires_opt_out(self):
         with pytest.raises(UnsupportedCombination):
             solve(F, [2.0, -2.0], SolveConfig(method=MethodKind.WEIERSTRASS))
