@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, differences, e_measure, recall
+from .measures import Measurement, NormContext, e_measure, measure, recall
 from .polynomials import Polynomial
 
 
@@ -167,7 +167,7 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
 
     Failure of the conditions yields an unissued certificate, not an error.
     Where the last solve started or ended at x0, W and d come from its
-    record and only E is recomputed, in O(n).
+    record in measures and only E is recomputed, in O(n).
     """
     return certificate_at(bundle, recall(f, x0, bundle.ctx))
 
@@ -202,18 +202,15 @@ def a_posteriori_bound_1(f: Polynomial, xk, bundle: GaugeBundle) -> np.ndarray:
     """gamma(E_k)/(1 - beta(E_k)) * |W_i(xk)| componentwise.
 
     At the final iterate (or x0) of the last solve this reuses solve's W
-    and d: it measures nothing and returns the same bits as afresh.
+    and d through certify_initial: it measures nothing and returns the
+    same bits as afresh.
     """
     return _issued(certify_initial(f, xk, bundle), "a posteriori bound").rho
 
 
 def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndarray:
-    """Second a posteriori estimate, bounding the error at xk1 = T(xk).
-
-    Like a_posteriori_bound_1, it reuses the last solve's W and d at xk
-    and at xk1 where that solve measured them.
-    """
-    m = recall(f, xk, bundle.ctx)
+    """Second a posteriori estimate, bounding the error at xk1 = T(xk)."""
+    m = measure(f, xk, bundle.ctx)
     cert = _issued(certificate_at(bundle, m), "a posteriori bound")
     ek1 = e_measure(f, xk1, bundle.ctx)
     if not ek1 < bundle.tau:
@@ -230,18 +227,16 @@ def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     return cert.theta * lam_r * wk_norm
 
 
-def _apart(radii: np.ndarray, x: np.ndarray, m: Measurement) -> bool:
+def _apart(radii: np.ndarray, m: Measurement) -> bool:
     """True when |x_i - x_j| > r_i + r_j for every i != j, as rounded.
 
     |x_i - x_j| >= d_i and rounded addition is monotone, so r_i + max r <
     d_i for every i settles it in O(n) from m.d; only where that fails
-    is the pairwise test run on m.diff, built from x if m has none.  Both
-    give the same answer.
+    is the pairwise test run on m.diff.  Both give the same answer.
     """
     if np.all(radii + radii.max() < m.d):
         return True
-    diff = differences(x) if m.diff is None else m.diff
-    close = np.abs(diff) <= radii[:, None] + radii[None, :]
+    close = np.abs(m.diff) <= radii[:, None] + radii[None, :]
     np.fill_diagonal(close, False)
     return not np.any(close)
 
@@ -249,12 +244,11 @@ def _apart(radii: np.ndarray, x: np.ndarray, m: Measurement) -> bool:
 def disks_at(x: np.ndarray, cert: Certificate, m: Measurement):
     """Inclusion disks at x from its certificate cert and its measurement
     m; see inclusion_disks.  Disjointness reads the separations m.d and
-    needs D only when the O(n) test on them fails: m.diff, or where m
-    carries none, differences(x)."""
+    needs m.diff only when the O(n) test on them fails."""
     radii = _issued(cert, "inclusion disks").rho
-    x = np.asarray(x, dtype=np.complex128)
-    disks = [Disk(c, r) for c, r in zip(x.tolist(), radii.tolist())]
-    return disks, bool(cert.strict and _apart(radii, x, m))
+    centers = np.asarray(x, dtype=np.complex128).tolist()
+    disks = [Disk(c, r) for c, r in zip(centers, radii.tolist())]
+    return disks, bool(cert.strict and _apart(radii, m))
 
 
 def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
@@ -264,9 +258,8 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     under the strict condition phi < 1; the numeric check is kept as belt
     and braces.  It costs O(n) from the separations of the measurement at
     xk, and falls back to the pairwise distances only when that fails.
-    At the last solve's final iterate it reads that solve's W and d.
     """
-    m = recall(f, xk, bundle.ctx)
+    m = measure(f, xk, bundle.ctx)
     return disks_at(xk, certificate_at(bundle, m), m)
 
 

@@ -6,9 +6,7 @@ Ehrlich in the Boersch-Supan form and Presic-Tanabe.  Dochev-Byrnev runs
 through the Tanabe map, since the two methods are identical.  The public
 ``*_step(f, x)`` functions compute W and D by ``measure``'s formulas,
 without its separations, and apply the same map; each maps an exact root
-vector to itself bitwise, since W then evaluates to exactly zero.  At x0
-or the final iterate of the last ``solve`` they take W from its record in
-``measures`` and rebuild only D.
+vector to itself bitwise, since W then evaluates to exactly zero.
 The algebraically identical reference forms are test oracles in
 ``tests/oracle.py``, not part of the package.
 """

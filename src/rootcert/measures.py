@@ -8,20 +8,19 @@ formula but reduces no separations unless a product over j != i is zero
 or not finite.  Each of d, W and sigma is a reduction of one
 pairwise-difference matrix per point vector, built by ``differences``.
 
-Each point is measured once across the API.  Whenever ``solve`` returns
-it leaves W and d at x0 and at its final iterate in one module-level
-record, keyed by the exact bytes of f.coeffs and of the point, through
-``remember``; ``solve`` never reads it.  The public point functions
-(``measure``, ``e_measure``, ``weierstrass_correction``, the steps, the
-certificate, the a posteriori bounds and the disks) look there first
-through ``recall`` and on a hit return what a fresh measurement gives,
-bit for bit, in fresh arrays.  The record holds no matrix D: it is O(n).
+Whenever ``solve`` returns, it leaves W and d at x0 and at its final
+iterate in one module-level record, keyed by the exact bytes of f.coeffs
+and of the point.  ``weierstrass_correction`` and ``recall``, behind
+``certify_initial`` and the first a posteriori bound, look there before
+they measure and on a hit return the bits a fresh measurement gives, in
+fresh arrays.  ``solve`` and ``measure`` never read the record.  It holds
+no matrix D, so it is O(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -119,8 +118,8 @@ class Measurement:
     w: np.ndarray
     d: np.ndarray
     E: float
-    # None where the measurement came from the record and no reader has
-    # needed D yet
+    # None only from a hit of recall, whose reader, the certificate,
+    # reads no D
     diff: Optional[np.ndarray] = field(repr=False)
 
 
@@ -144,20 +143,34 @@ def _w(f: Polynomial, x: np.ndarray, prod: np.ndarray) -> np.ndarray:
     return evaluate(f, x) / (f.coeffs[0] * prod)
 
 
-def measure_anew(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """W, d and E at x, measured without looking in the record: the one
-    evaluation per iterate that solve's step, trace, certificate and
-    disks all read.  E needs d anyway, so d also decides distinctness."""
+def corrections(f: Polynomial, x) -> tuple:
+    """(W_f(x), differences(x)) after checking that x has deg f distinct
+    components.
+
+    A finite nonzero product over j != i of (x_i - x_j) proves component
+    i distinct from the others: in binary64 complex arithmetic a product
+    with a zero factor is 0 or NaN.  Only where a product is zero or not
+    finite (underflow, overflow, NaN input) are the separations reduced,
+    to raise the NonDistinctComponents that measure raises.
+    """
+    x = _checked(f, x)
+    diff = differences(x)
+    prod = np.prod(diff, axis=0)
+    if not np.all(np.isfinite(prod) & (prod != 0.0)):
+        _reject_coinciding(separation(x, diff))
+    return _w(f, x, prod), diff
+
+
+def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """The one evaluation of W, d and E at x that a step, a trace entry,
+    a certificate and a set of disks all read.  E needs d anyway, so d
+    also decides distinctness here."""
     x = _checked(f, x)
     diff = differences(x)
     d = separation(x, diff)
     _reject_coinciding(d)
     w = _w(f, x, np.prod(diff, axis=0))
-    return Measurement(w=w, d=d, E=_e(w, d, ctx), diff=diff)
-
-
-def _e(w: np.ndarray, d: np.ndarray, ctx: NormContext) -> float:
-    return p_norm(np.abs(w) / d, ctx.p)
+    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
 
 
 # (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
@@ -175,8 +188,8 @@ def remember(f: Polynomial, *points) -> None:
 
 
 def _recalled(f: Polynomial, x: np.ndarray):
-    """Fresh copies of (W, d) at the complex128 vector x from the record,
-    or None where it holds no entry for exactly f and x."""
+    """Copies of (W, d) at the complex128 vector x from the record, or
+    None where it holds no entry for exactly f and x."""
     coeffs, points = _record
     if points and coeffs == f.coeffs.tobytes():
         key = x.tobytes()
@@ -187,50 +200,15 @@ def _recalled(f: Polynomial, x: np.ndarray):
 
 
 def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """measure's W, d and E at x, from the record where it holds x; then
-    diff is None, for the caller to build where it reads D."""
+    """measure(f, x, ctx), but where the last solve measured x (its x0 or
+    its final iterate) W and d come from the record, E is recomputed in
+    O(n) and diff is None."""
     x = _checked(f, x)
     hit = _recalled(f, x)
     if hit is None:
-        return measure_anew(f, x, ctx)
+        return measure(f, x, ctx)
     w, d = hit
-    return Measurement(w=w, d=d, E=_e(w, d, ctx), diff=None)
-
-
-def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """The measurement of W, d and E at x with the matrix D they were
-    reduced from.  Where the last solve measured x (its x0 or its final
-    iterate) W and d come from the record and only D is rebuilt."""
-    m = recall(f, x, ctx)
-    if m.diff is None:
-        m = replace(m, diff=differences(x))
-    return m
-
-
-def _corrections(f: Polynomial, x: np.ndarray) -> tuple:
-    """(W_f(x), differences(x)) at the checked vector x.
-
-    A finite nonzero product over j != i of (x_i - x_j) proves component
-    i distinct from the others: in binary64 complex arithmetic a product
-    with a zero factor is 0 or NaN.  Only where a product is zero or not
-    finite (underflow, overflow, NaN input) are the separations reduced,
-    to raise the NonDistinctComponents that measure raises.
-    """
-    diff = differences(x)
-    prod = np.prod(diff, axis=0)
-    if not np.all(np.isfinite(prod) & (prod != 0.0)):
-        _reject_coinciding(separation(x, diff))
-    return _w(f, x, prod), diff
-
-
-def corrections(f: Polynomial, x) -> tuple:
-    """(W_f(x), differences(x)) after checking that x has deg f distinct
-    components; W comes from the record where it holds x."""
-    x = _checked(f, x)
-    hit = _recalled(f, x)
-    if hit is None:
-        return _corrections(f, x)
-    return hit[0], differences(x)
+    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=None)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
@@ -239,9 +217,9 @@ def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
     nothing measured where the record holds x."""
     x = _checked(f, x)
     hit = _recalled(f, x)
-    return _corrections(f, x)[0] if hit is None else hit[0]
+    return corrections(f, x)[0] if hit is None else hit[0]
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:
     """E_f(x): the p-norm of the vector |W_i(x)| / d_i(x)."""
-    return recall(f, x, ctx).E
+    return measure(f, x, ctx).E

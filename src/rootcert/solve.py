@@ -14,7 +14,7 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
-from .measures import measure_anew, norm_context, remember
+from .measures import measure, norm_context, remember
 from .polynomials import Polynomial
 
 
@@ -101,11 +101,10 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     The run stops unconverged at the first iterate whose E is not finite.
 
     On return, the abort at x0 included, W and d at x0 and at the final
-    iterate replace the record in ``measures`` that the public point
-    functions (weierstrass_correction, certify_initial, the a posteriori
-    bounds, inclusion_disks, ...) read instead of measuring again.
-    solve itself only writes the record: a repeated request is measured
-    again.  x0 is copied, so the result does not alias the caller's array.
+    iterate replace the record in ``measures`` that weierstrass_correction
+    and certify_initial (hence a_posteriori_bound_1) read instead of
+    measuring again.  solve itself only writes the record: a repeated
+    request is measured again.  x0 is copied, so the result does not alias the caller's array.
     """
     x0 = np.array(x0, dtype=np.complex128)
     if not np.all(np.isfinite(x0)):
@@ -130,7 +129,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         return bool(np.max(trace.w_norms[-1]) <= tol)
 
     x = x0
-    m = measure_anew(f, x, ctx)
+    m = measure(f, x, ctx)
     # W and d only: x0's whole measurement, with its n x n D, is not kept
     at_x0 = (x0, m.w, m.d)
     certificate = None if bundle is None else certificate_at(bundle, m)
@@ -143,7 +142,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     while not converged and math.isfinite(m.E) and len(trace.iterates) <= cfg.max_iter:
         x = step(x, m.w, m.diff)
-        m = measure_anew(f, x, ctx)
+        m = measure(f, x, ctx)
         converged = record(x, m)
 
     disks: List[Disk] = []

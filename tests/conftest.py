@@ -1,6 +1,15 @@
 import numpy as np
+import pytest
 
+import rootcert.measures as measures
 from rootcert import Polynomial, e_measure, from_roots
+
+
+@pytest.fixture(autouse=True)
+def empty_record(monkeypatch):
+    """Each test starts with an empty record of solve's measurements, so
+    no test's call counts depend on which solve ran before it."""
+    monkeypatch.setattr(measures, "_record", (b"", ()))
 
 
 def random_monic(n, rng):

@@ -1,7 +1,8 @@
 """The record of W and d that solve leaves at x0 and at its final iterate.
 
-Every public point function reads it before it measures; a hit must give
-the bits a fresh measurement gives, and anything else must miss.
+weierstrass_correction and certify_initial, hence a_posteriori_bound_1,
+read it before they measure; a hit must give the bits a fresh measurement
+gives, and anything else must miss.
 """
 
 import dataclasses
@@ -16,18 +17,11 @@ from rootcert import (
     Polynomial,
     SolveConfig,
     a_posteriori_bound_1,
-    a_posteriori_bound_2,
     certify_initial,
-    e_measure,
-    ehrlich_step_bs,
     gauge_bundle,
-    inclusion_disks,
-    measure,
     norm_context,
     solve,
-    tanabe_step,
     weierstrass_correction,
-    weierstrass_step,
 )
 from conftest import random_monic, well_separated_roots
 from oracle import known_instance
@@ -57,21 +51,13 @@ def _instance(seed=0):
 
 
 def _readers(f, res, bundle):
-    """Every public point function at x0 and at the final iterate."""
+    """Every reader of the record at x0 and at the final iterate."""
     x0, xf = res.trace.iterates[0], res.final
-    ctx = bundle.ctx
     out = {}
     for name, x in (("x0", x0), ("final", xf)):
-        out[f"measure {name}"] = measure(f, x, ctx)
-        out[f"e_measure {name}"] = e_measure(f, x, ctx)
         out[f"W {name}"] = weierstrass_correction(f, x)
-        for step in (weierstrass_step, ehrlich_step_bs, tanabe_step):
-            out[f"{step.__name__} {name}"] = step(f, x)
         out[f"certify_initial {name}"] = certify_initial(f, x, bundle)
     out["bound 1"] = a_posteriori_bound_1(f, xf, bundle)
-    out["bound 2 at x0"] = a_posteriori_bound_2(f, x0, res.trace.iterates[1], bundle)
-    out["bound 2 at final"] = a_posteriori_bound_2(f, res.trace.iterates[-2], xf, bundle)
-    out["disks"] = inclusion_disks(f, xf, bundle)
     return out
 
 
@@ -121,7 +107,6 @@ def test_readers_measure_nothing_after_solve(method, p, counts):
     weierstrass_correction(f, x0)
     certify_initial(f, x0, bundle)
     a_posteriori_bound_1(f, res.final, bundle)
-    inclusion_disks(f, res.final, bundle)
     assert counts == {"evaluate": 0, "separation": 0}
     # solve only writes the record: the same request is measured again
     solve(f, x0, SolveConfig(method=method, p=p))
@@ -175,8 +160,6 @@ def test_misses(case, counts):
     readers = [
         lambda: weierstrass_correction(g, x),
         lambda: certify_initial(g, x, bundle),
-        lambda: e_measure(g, x, bundle.ctx),
-        lambda: ehrlich_step_bs(g, x),
     ]
     for read in readers:
         counts.update(evaluate=0)
@@ -191,15 +174,13 @@ def test_misses(case, counts):
 
 def test_hits_return_fresh_arrays():
     f, x0 = _instance(3)
-    bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(f.degree, math.inf))
     res = solve(f, x0)
-    w = weierstrass_correction(f, x0)
-    m = measure(f, res.final, bundle.ctx)
-    want = (w.copy(), m.w.copy(), m.d.copy())
-    for a in (w, m.w, m.d):
-        a[:] = 0.0
-    m2 = measure(f, res.final, bundle.ctx)
-    assert _bits((weierstrass_correction(f, x0), m2.w, m2.d)) == _bits(want)
+    w0, wf = weierstrass_correction(f, x0), weierstrass_correction(f, res.final)
+    want = (w0.copy(), wf.copy())
+    w0[:] = 0.0
+    wf[:] = 0.0
+    got = (weierstrass_correction(f, x0), weierstrass_correction(f, res.final))
+    assert _bits(got) == _bits(want)
 
 
 def test_record_is_o_n():
