@@ -222,6 +222,8 @@ def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndar
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     """Bound on |W_i| after one more step: theta * lambda**(3**k) * |W_i(xk)|."""
     _issued(cert, "contraction bound")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     wk_norm = np.asarray(wk_norm, dtype=float)
     lam_r = cert.lam ** (3.0 ** min(k, _K_CAP))
     return cert.theta * lam_r * wk_norm

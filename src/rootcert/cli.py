@@ -58,9 +58,9 @@ def _complex_list(entries) -> np.ndarray:
 
 
 def reals(text: str) -> np.ndarray:
-    """The complex vector of a comma-separated list of reals."""
-    return np.array([float(v) for v in text.split(",") if v.strip()],
-                    dtype=np.complex128)
+    """The complex vector of a comma-separated list of reals; an empty
+    field is a ValueError, hence an input error."""
+    return np.array([float(v) for v in text.split(",")], dtype=np.complex128)
 
 
 def _load_request(args) -> tuple:

@@ -4,9 +4,9 @@ Every production step is a map of (x, W, D) with W = W_f(x) and D the
 pairwise-difference matrix of x that W was reduced from: Weierstrass,
 Ehrlich in the Boersch-Supan form and Presic-Tanabe.  Dochev-Byrnev runs
 through the Tanabe map, since the two methods are identical.  The public
-``*_step(f, x)`` functions compute W and D by ``measure``'s formulas,
-without its separations, and apply the same map; each maps an exact root
-vector to itself bitwise, since W then evaluates to exactly zero.
+``*_step(f, x)`` functions take W and D from ``measure`` and apply the
+same map; each maps an exact root vector to itself bitwise, since W then
+evaluates to exactly zero.
 The algebraically identical reference forms are test oracles in
 ``tests/oracle.py``, not part of the package.
 """
@@ -14,12 +14,13 @@ The algebraically identical reference forms are test oracles in
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutsideDomain
-from .measures import corrections, sigmas
+from .measures import measure, norm_context, sigmas
 from .polynomials import Polynomial
 
 
@@ -55,8 +56,8 @@ def _tanabe(x: np.ndarray, w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 def _step(step_map, f: Polynomial, x) -> StepResult:
     x = np.asarray(x, dtype=np.complex128)
-    w, diff = corrections(f, x)
-    return StepResult(image=step_map(x, w, diff), corrections=w)
+    m = measure(f, x, norm_context(f.degree, math.inf))
+    return StepResult(image=step_map(x, m.w, m.diff), corrections=m.w)
 
 
 def weierstrass_step(f: Polynomial, x) -> StepResult:

@@ -1,20 +1,18 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
 
-``measure`` computes W, d and E together; its d, which E needs anyway,
-also decides that the components are distinct.  ``corrections``, behind
-``weierstrass_correction`` and the public steps, computes W by the same
-formula but reduces no separations unless a product over j != i is zero
-or not finite.  Each of d, W and sigma is a reduction of one
-pairwise-difference matrix per point vector, built by ``differences``.
+``measure`` is the one path that computes W, d and E; a zero d_i, and
+nothing else, decides that components coincide.  Each of d, W and sigma
+is a reduction of one pairwise-difference matrix per point vector, built
+by ``differences``.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one module-level record, keyed by the exact bytes of f.coeffs
-and of the point.  ``weierstrass_correction`` and ``recall``, behind
-``certify_initial`` and the first a posteriori bound, look there before
-they measure and on a hit return the bits a fresh measurement gives, in
-fresh arrays.  ``solve`` and ``measure`` never read the record.  It holds
-no matrix D, so it is O(n).
+and of the point.  ``recall``, behind ``weierstrass_correction`` and
+``certify_initial`` (hence the first a posteriori bound), looks there
+before it measures and on a hit returns the bits a fresh measurement
+gives, in fresh arrays.  ``solve``, ``measure`` and the steps never read
+the record.  It holds no matrix D, so it is O(n).
 """
 
 from __future__ import annotations
@@ -65,12 +63,12 @@ def norm_context(n: int, p: float) -> NormContext:
 
 def p_norm(v, p: float) -> float:
     """p-norm of a nonnegative real vector, rescaled by the maximum to
-    avoid overflow for large p."""
+    avoid overflow for large p; inf where an entry is inf."""
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         return 0.0
     m = float(np.max(v))
-    if m == 0.0 or math.isinf(p):
+    if m == 0.0 or math.isinf(m) or math.isinf(p):
         return m
     if p == 1:
         return float(np.sum(v))
@@ -123,13 +121,6 @@ class Measurement:
     diff: Optional[np.ndarray] = field(repr=False)
 
 
-def _reject_coinciding(d: np.ndarray) -> None:
-    """Raise NonDistinctComponents where a separation d_i is zero."""
-    if np.any(d == 0.0):
-        i = int(np.argmin(d))
-        raise NonDistinctComponents(f"components coincide (index {i})")
-
-
 def _checked(f: Polynomial, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.size != f.degree:
@@ -137,40 +128,22 @@ def _checked(f: Polynomial, x) -> np.ndarray:
     return x
 
 
-def _w(f: Polynomial, x: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """W_i = f(x_i) / (C_0 * prod_i), prod_i the product over j != i of
-    (x_i - x_j)."""
-    return evaluate(f, x) / (f.coeffs[0] * prod)
-
-
-def corrections(f: Polynomial, x) -> tuple:
-    """(W_f(x), differences(x)) after checking that x has deg f distinct
-    components.
-
-    A finite nonzero product over j != i of (x_i - x_j) proves component
-    i distinct from the others: in binary64 complex arithmetic a product
-    with a zero factor is 0 or NaN.  Only where a product is zero or not
-    finite (underflow, overflow, NaN input) are the separations reduced,
-    to raise the NonDistinctComponents that measure raises.
-    """
-    x = _checked(f, x)
-    diff = differences(x)
-    prod = np.prod(diff, axis=0)
-    if not np.all(np.isfinite(prod) & (prod != 0.0)):
-        _reject_coinciding(separation(x, diff))
-    return _w(f, x, prod), diff
+def _measurement(w: np.ndarray, d: np.ndarray, ctx: NormContext, diff) -> Measurement:
+    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The one evaluation of W, d and E at x that a step, a trace entry,
-    a certificate and a set of disks all read.  E needs d anyway, so d
-    also decides distinctness here."""
+    a certificate and a set of disks all read.  A zero separation d_i
+    means coinciding components and raises NonDistinctComponents."""
     x = _checked(f, x)
     diff = differences(x)
     d = separation(x, diff)
-    _reject_coinciding(d)
-    w = _w(f, x, np.prod(diff, axis=0))
-    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
+    if np.any(d == 0.0):
+        raise NonDistinctComponents(
+            f"components coincide (index {int(np.argmin(d))})")
+    w = evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0))
+    return _measurement(w, d, ctx, diff)
 
 
 # (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
@@ -187,37 +160,24 @@ def remember(f: Polynomial, *points) -> None:
                tuple((x.tobytes(), w, d) for x, w, d in points))
 
 
-def _recalled(f: Polynomial, x: np.ndarray):
-    """Copies of (W, d) at the complex128 vector x from the record, or
-    None where it holds no entry for exactly f and x."""
+def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """measure(f, x, ctx), but where the last solve measured x (its x0 or
+    its final iterate) copies of W and d come from the record, E is
+    recomputed in O(n) and diff is None."""
+    x = _checked(f, x)
     coeffs, points = _record
-    if points and coeffs == f.coeffs.tobytes():
+    if coeffs == f.coeffs.tobytes():
         key = x.tobytes()
         for xb, w, d in points:
             if xb == key:
-                return w.copy(), d.copy()
-    return None
-
-
-def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """measure(f, x, ctx), but where the last solve measured x (its x0 or
-    its final iterate) W and d come from the record, E is recomputed in
-    O(n) and diff is None."""
-    x = _checked(f, x)
-    hit = _recalled(f, x)
-    if hit is None:
-        return measure(f, x, ctx)
-    w, d = hit
-    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=None)
+                return _measurement(w.copy(), d.copy(), ctx, None)
+    return measure(f, x, ctx)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
-    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j)), with no
-    separations reduced unless a product is zero or not finite, and
-    nothing measured where the record holds x."""
-    x = _checked(f, x)
-    hit = _recalled(f, x)
-    return corrections(f, x)[0] if hit is None else hit[0]
+    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j)), read
+    from the record where it holds x."""
+    return recall(f, x, norm_context(f.degree, math.inf)).w
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:

@@ -103,8 +103,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     On return, the abort at x0 included, W and d at x0 and at the final
     iterate replace the record in ``measures`` that weierstrass_correction
     and certify_initial (hence a_posteriori_bound_1) read instead of
-    measuring again.  solve itself only writes the record: a repeated
-    request is measured again.  x0 is copied, so the result does not alias the caller's array.
+    measuring again; solve only writes it, so a repeated request is
+    measured again.  x0 is copied: the result never aliases the caller's.
     """
     x0 = np.array(x0, dtype=np.complex128)
     if not np.all(np.isfinite(x0)):

@@ -181,8 +181,10 @@ class TestBounds:
                                    [1.0243902, 1.0243902], rtol=1e-6)
 
     def test_a_priori_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            a_priori_bound(self.cert, self.w0, -1)
+        # every bound in k rejects a negative k
+        for bound in (a_priori_bound, w_contraction_bound):
+            with pytest.raises(ValueError):
+                bound(self.cert, self.w0, -1)
 
     def test_a_priori_requires_certificate(self):
         cert = certify_initial(F, [0.6, -0.6], self.bundle)

@@ -109,15 +109,15 @@ def _count_separations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", W_ALONE)
 @pytest.mark.parametrize("seed", range(3))
-def test_w_alone_reduces_no_separations(monkeypatch, name, seed):
-    # on distinct components the finite nonzero products prove them
-    # distinct; W is measure's W, bitwise
+def test_w_alone_reduces_separations_once(monkeypatch, name, seed):
+    # one separation reduction, as measure makes; W is measure's W,
+    # bitwise
     rng = np.random.default_rng(4000 + seed)
     f = random_monic(12, rng)
     x = random_distinct_points(12, rng)
     calls = _count_separations(monkeypatch)
     w = W_ALONE[name](f, x)
-    assert calls == []
+    assert len(calls) == 1
     assert w.tobytes() == measure(f, x, norm_context(12, INF)).w.tobytes()
 
 
@@ -174,6 +174,11 @@ def test_p_norm_against_numpy(p):
     rng = np.random.default_rng(5)
     v = rng.uniform(0, 3, 7)
     assert p_norm(v, p) == pytest.approx(np.linalg.norm(v, ord=p), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INF])
+def test_p_norm_of_an_infinite_entry_is_inf(p):
+    assert p_norm([1.0, INF], p) == INF
 
 
 def test_p_norm_huge_p_no_overflow():
