@@ -9,6 +9,7 @@ and the ready-made corollary thresholds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, e_measure, measure, recall
+from .measures import Measurement, NormContext, differences, e_measure, measure, recall
 from .polynomials import Polynomial
 
 
@@ -133,7 +134,7 @@ def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
         return _ehrlich_bundle(ctx)
     if method in (MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE):
         return _dochev_byrnev_bundle(method, ctx)
-    raise UnsupportedCombination("no certification for the Weierstrass method")
+    raise UnsupportedCombination(f"no certification for the method {method!r}")
 
 
 def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
@@ -183,16 +184,21 @@ def _issued(cert: Certificate, what: str) -> Certificate:
 _K_CAP = 40
 
 
+def _lambda_power(cert: Certificate, k, what: str) -> tuple:
+    """(kc, lambda**(3**kc)), kc = min(k, _K_CAP), at iterate index k."""
+    _issued(cert, what)
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    kc = min(k, _K_CAP)
+    return kc, cert.lam ** (3.0 ** kc)
+
+
 def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
     """Componentwise error bound at iterate k computed from x0 alone."""
-    _issued(cert, "a priori bound")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    kc, lam_r = _lambda_power(cert, k, "a priori bound")
     w0_norm = np.asarray(w0_norm, dtype=float)
-    kc = min(k, _K_CAP)
     s_k = (3.0 ** kc - 1.0) / 2.0
     lam_s = cert.lam ** s_k
-    lam_r = cert.lam ** (3.0 ** kc)
     # gamma evaluated at E0 * lambda**S_k, which stays inside [0, tau)
     a_k = cert.bundle.gamma(cert.E0 * lam_s)
     return a_k * (cert.theta ** k) * lam_s / (1.0 - cert.theta * lam_r) * w0_norm
@@ -221,11 +227,8 @@ def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndar
 
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     """Bound on |W_i| after one more step: theta * lambda**(3**k) * |W_i(xk)|."""
-    _issued(cert, "contraction bound")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _, lam_r = _lambda_power(cert, k, "contraction bound")
     wk_norm = np.asarray(wk_norm, dtype=float)
-    lam_r = cert.lam ** (3.0 ** min(k, _K_CAP))
     return cert.theta * lam_r * wk_norm
 
 
@@ -234,21 +237,22 @@ def _apart(radii: np.ndarray, m: Measurement) -> bool:
 
     |x_i - x_j| >= d_i and rounded addition is monotone, so r_i + max r <
     d_i for every i settles it in O(n) from m.d; only where that fails
-    is the pairwise test run on m.diff.  Both give the same answer.
+    are the pairwise distances formed from m.x.  Both give the same answer.
     """
     if np.all(radii + radii.max() < m.d):
         return True
-    close = np.abs(m.diff) <= radii[:, None] + radii[None, :]
+    close = np.abs(differences(m.x)) <= radii[:, None] + radii[None, :]
     np.fill_diagonal(close, False)
     return not np.any(close)
 
 
-def disks_at(x: np.ndarray, cert: Certificate, m: Measurement):
-    """Inclusion disks at x from its certificate cert and its measurement
-    m; see inclusion_disks.  Disjointness reads the separations m.d and
-    needs m.diff only when the O(n) test on them fails."""
+def disks_at(cert: Certificate, m: Measurement):
+    """Inclusion disks centred at the point m.x, from its measurement m
+    and its certificate cert; see inclusion_disks.  Disjointness reads
+    the separations m.d, and the pairwise distances of m.x only when the
+    O(n) test on m.d fails."""
     radii = _issued(cert, "inclusion disks").rho
-    centers = np.asarray(x, dtype=np.complex128).tolist()
+    centers = m.x.tolist()
     disks = [Disk(c, r) for c, r in zip(centers, radii.tolist())]
     return disks, bool(cert.strict and _apart(radii, m))
 
@@ -259,10 +263,10 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     Returns (disks, disjoint).  Disjointness is guaranteed by the theory
     under the strict condition phi < 1; the numeric check is kept as belt
     and braces.  It costs O(n) from the separations of the measurement at
-    xk, and falls back to the pairwise distances only when that fails.
+    xk, and forms the pairwise distances only when that fails.
     """
     m = measure(f, xk, bundle.ctx)
-    return disks_at(xk, certificate_at(bundle, m), m)
+    return disks_at(certificate_at(bundle, m), m)
 
 
 def solve_R() -> float:

@@ -46,8 +46,11 @@ def _complex_to_json(z: complex) -> dict:
 
 def _complex_from_json(obj) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, KeyError, ValueError) as exc:
+        # complex() rejects a string here, but takes true and false as 1 and 0
+        if type(obj["re"]) is bool or type(obj["im"]) is bool:
+            raise TypeError("re and im must be numbers")
+        return complex(obj["re"], obj["im"])
+    except (TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"bad complex entry {obj!r}: {exc}") from None
 
 
@@ -210,8 +213,8 @@ def _add_common(sub):
     sub.add_argument("--guess", type=reals, help="comma-separated real starting points")
     sub.add_argument("--input", help="JSON input file")
     sub.add_argument("--method", choices=sorted(m.value for m in MethodKind),
-                     default="ehrlich")
-    sub.add_argument("--p", type=float, default=math.inf,
+                     default=SolveConfig.method.value)
+    sub.add_argument("--p", type=float, default=SolveConfig.p,
                      help="norm exponent (decimal or 'inf')")
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -234,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_p = subs.add_parser("solve", help="run a (certified) solve")
     _add_common(solve_p)
-    solve_p.add_argument("--max-iter", type=int, default=100)
-    solve_p.add_argument("--tol", type=float, default=1e-13)
+    solve_p.add_argument("--max-iter", type=int, default=SolveConfig.max_iter)
+    solve_p.add_argument("--tol", type=float, default=SolveConfig.w_tol)
     solve_p.add_argument("--no-certificate", action="store_true")
     solve_p.add_argument("--seed", type=int, default=None)
     solve_p.add_argument("--batch", help="directory of JSON inputs")

@@ -1,10 +1,10 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
 
-``measure`` is the one path that computes W, d and E; a zero d_i, and
-nothing else, decides that components coincide.  Each of d, W and sigma
-is a reduction of one pairwise-difference matrix per point vector, built
-by ``differences``.
+``measure`` is the one path that computes W, d and E, into a
+``Measurement`` that carries its point; a zero d_i, and nothing else,
+decides that components coincide.  Each of d, W and sigma is a reduction
+of one pairwise-difference matrix per point, built by ``differences``.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one module-level record, keyed by the exact bytes of f.coeffs
@@ -110,14 +110,14 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measurement:
-    """W_f(x), d(x) and E_f(x) = ||W_f(x) / d(x)||_p at one point vector x,
-    with the matrix diff = differences(x) they were reduced from."""
+    """A point vector x (complex128) with W_f(x), d(x), E_f(x) =
+    ||W_f(x) / d(x)||_p and diff = differences(x), read only by the step
+    maps and None where no step follows (recall's hits, solve's x0)."""
 
+    x: np.ndarray
     w: np.ndarray
     d: np.ndarray
     E: float
-    # None only from a hit of recall, whose reader, the certificate,
-    # reads no D
     diff: Optional[np.ndarray] = field(repr=False)
 
 
@@ -128,8 +128,8 @@ def _checked(f: Polynomial, x) -> np.ndarray:
     return x
 
 
-def _measurement(w: np.ndarray, d: np.ndarray, ctx: NormContext, diff) -> Measurement:
-    return Measurement(w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
+def _measurement(x, w, d, ctx: NormContext, diff) -> Measurement:
+    return Measurement(x=x, w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
@@ -143,7 +143,7 @@ def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
         raise NonDistinctComponents(
             f"components coincide (index {int(np.argmin(d))})")
     w = evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0))
-    return _measurement(w, d, ctx, diff)
+    return _measurement(x, w, d, ctx, diff)
 
 
 # (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
@@ -152,12 +152,11 @@ def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
 _record: tuple = (b"", ())
 
 
-def remember(f: Polynomial, *points) -> None:
-    """Replace the record with W and d at each (x, W, d) of points, x a
-    complex128 vector."""
+def remember(f: Polynomial, *measurements: Measurement) -> None:
+    """Replace the record with the point, W and d of each measurement."""
     global _record
     _record = (f.coeffs.tobytes(),
-               tuple((x.tobytes(), w, d) for x, w, d in points))
+               tuple((m.x.tobytes(), m.w, m.d) for m in measurements))
 
 
 def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
@@ -170,7 +169,7 @@ def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
         key = x.tobytes()
         for xb, w, d in points:
             if xb == key:
-                return _measurement(w.copy(), d.copy(), ctx, None)
+                return _measurement(x, w.copy(), d.copy(), ctx, None)
     return measure(f, x, ctx)
 
 

@@ -5,8 +5,9 @@ measurements, stopping rules and empirical convergence-order estimation.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -27,8 +28,10 @@ class SolveConfig:
     require_certificate: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.method, MethodKind):
+            raise ValueError(f"method must be a MethodKind, got {self.method!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.w_tol > 0:
             raise ValueError("w_tol must be positive")
 
@@ -122,37 +125,28 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     step = step_function(cfg.method)
     trace = IterationTrace()
 
-    def record(x, m) -> bool:
-        trace.iterates.append(x)
+    m = measure(f, x0, ctx)
+    # x0's entry for the record, without the n x n D that the loop drops
+    m0 = replace(m, diff=None)
+    certificate = None if bundle is None else certificate_at(bundle, m)
+    aborted = cfg.require_certificate and not certificate.issued
+    while True:
+        trace.iterates.append(m.x)
         trace.w_norms.append(np.abs(m.w))
         trace.e_values.append(m.E)
-        return bool(np.max(trace.w_norms[-1]) <= tol)
+        converged = bool(np.max(trace.w_norms[-1]) <= tol)
+        if (converged or aborted or not math.isfinite(m.E)
+                or len(trace.iterates) > cfg.max_iter):
+            break
+        m = measure(f, step(m), ctx)
 
-    x = x0
-    m = measure(f, x, ctx)
-    # W and d only: x0's whole measurement, with its n x n D, is not kept
-    at_x0 = (x0, m.w, m.d)
-    certificate = None if bundle is None else certificate_at(bundle, m)
-    converged = record(x, m)
-    if cfg.require_certificate and not certificate.issued:
-        remember(f, at_x0)
-        return SolveResult(trace=trace, certificate=certificate, final=x0,
-                           disks=[], disjoint=False, converged=False,
-                           order_estimate=None)
-
-    while not converged and math.isfinite(m.E) and len(trace.iterates) <= cfg.max_iter:
-        x = step(x, m.w, m.diff)
-        m = measure(f, x, ctx)
-        converged = record(x, m)
-
-    disks: List[Disk] = []
-    disjoint = False
+    disks, disjoint = [], False
     if certificate is not None and certificate.issued:
         at_final = certificate_at(bundle, m)
         if at_final.issued:
-            disks, disjoint = disks_at(x, at_final, m)
+            disks, disjoint = disks_at(at_final, m)
 
-    remember(f, at_x0, (x, m.w, m.d))
-    return SolveResult(trace=trace, certificate=certificate, final=x,
-                       disks=disks, disjoint=disjoint, converged=converged,
+    remember(f, m0, m)
+    return SolveResult(trace=trace, certificate=certificate, final=m.x, disks=disks,
+                       disjoint=disjoint, converged=converged and not aborted,
                        order_estimate=estimate_order(trace))

@@ -92,6 +92,11 @@ class TestGaugeBundles:
         with pytest.raises(UnsupportedCombination):
             gauge_bundle(MethodKind.WEIERSTRASS, CTX2)
 
+    def test_unsupported_method_is_named(self):
+        # a method name given as a string is not a MethodKind
+        with pytest.raises(UnsupportedCombination, match="'ehrlich'"):
+            gauge_bundle("ehrlich", CTX2)
+
     @pytest.mark.parametrize("method", [MethodKind.EHRLICH,
                                         MethodKind.DOCHEV_BYRNEV])
     @pytest.mark.parametrize("p", [1, 2, INF])
@@ -186,6 +191,14 @@ class TestBounds:
             with pytest.raises(ValueError):
                 bound(self.cert, self.w0, -1)
 
+    def test_bounds_reject_a_fractional_k(self):
+        # k counts iterates; numpy integers count too
+        for bound in (a_priori_bound, w_contraction_bound):
+            with pytest.raises(ValueError, match="integer"):
+                bound(self.cert, self.w0, 1.5)
+            np.testing.assert_array_equal(bound(self.cert, self.w0, np.int64(2)),
+                                          bound(self.cert, self.w0, 2))
+
     def test_a_priori_requires_certificate(self):
         cert = certify_initial(F, [0.6, -0.6], self.bundle)
         with pytest.raises(NotCertified):
@@ -272,7 +285,8 @@ def test_one_certificate_one_rho(method):
 
 def _measurement_at(E, n):
     # certificate_at reads only E and w
-    return Measurement(w=np.full(n, 1e-3 + 0j), d=np.ones(n), E=E, diff=None)
+    return Measurement(x=np.zeros(n, dtype=complex), w=np.full(n, 1e-3 + 0j),
+                       d=np.ones(n), E=E, diff=None)
 
 
 def _assert_declined(cert):
@@ -422,10 +436,10 @@ class TestDisks:
             w = np.full(n, 0.25)
             w[far] = rng.choice([32.0, 63.5, 63.75, 64.0])
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
-        # tiny radii pass the O(n) test on d, which must then never read diff
-        m = Measurement(w=w + 0j, d=separation(x), E=0.0,
+        # tiny radii pass the O(n) test on d; no case reads diff
+        m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0,
                         diff=None if mix == "tiny" else differences(x))
-        disks, disjoint = disks_at(x, certificate_at(b, m), m)
+        disks, disjoint = disks_at(certificate_at(b, m), m)
         radii = np.array([d.radius for d in disks])
         if mix == "far":
             # r_i + max r >= d_i for the others: the pairwise test decides
@@ -439,10 +453,10 @@ class TestDisks:
     def test_disk_fields_are_python_scalars(self, x):
         # Disk documents center: complex and radius: float, not numpy scalars
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
-        m = Measurement(w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0,
+        m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0,
                         diff=differences(X))
         for disks, _ in (inclusion_disks(F, x, b),
-                         disks_at(x, certificate_at(b, m), m)):
+                         disks_at(certificate_at(b, m), m)):
             assert [d.center for d in disks] == [2, -2]
             for d in disks:
                 assert type(d.center) is complex

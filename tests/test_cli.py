@@ -293,6 +293,11 @@ class TestInputHandling:
         '{"coeffs": [{"re": 1, "im": 0}, {"re": -1, "im": 0}], "guess": 7}',
         '{"coeffs": [{"re": 1}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
         '{"coeffs": [{"re": "one", "im": 0}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
+        # only JSON numbers are numbers: not true, not "1", not one too large
+        '{"coeffs": [{"re": true, "im": 0}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
+        '{"coeffs": [{"re": "1", "im": 0}, {"re": 0, "im": 0}, {"re": -1, "im": 0}]}',
+        pytest.param('{"coeffs": [{"re": 1' + '0' * 400 + ', "im": 0}, '
+                     '{"re": 0, "im": 0}, {"re": -1, "im": 0}]}', id="huge-int"),
     ])
     def test_malformed_json_is_input_error(self, capsys, tmp_path, content):
         path = tmp_path / "req.json"
@@ -545,3 +550,10 @@ def test_main_reuses_parser_without_carrying_state(capsys):
     assert in_a_row == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0]
     assert fresh[0][1] != fresh[1][1]
+
+
+def test_solve_defaults_are_solve_configs():
+    args = cli.build_parser().parse_args(["solve"])
+    assert SolveConfig(method=MethodKind(args.method), p=args.p,
+                       max_iter=args.max_iter, w_tol=args.tol,
+                       require_certificate=not args.no_certificate) == SolveConfig()

@@ -181,6 +181,11 @@ def test_p_norm_of_an_infinite_entry_is_inf(p):
     assert p_norm([1.0, INF], p) == INF
 
 
+@pytest.mark.parametrize("p", [1, 2, INF])
+def test_p_norm_of_an_empty_vector_is_zero(p):
+    assert p_norm([], p) == 0.0
+
+
 def test_p_norm_huge_p_no_overflow():
     v = np.array([1e200, 2e200])
     assert p_norm(v, 100.0) == pytest.approx(2e200, rel=1e-10)

@@ -232,6 +232,13 @@ def test_solve_config_validation():
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(w_tol=0.0)
+    # a method name given as a string, not a MethodKind
+    with pytest.raises(ValueError, match="'ehrlich'"):
+        SolveConfig(method="ehrlich")
+    # a fractional count of iterations; numpy integers pass
+    with pytest.raises(ValueError, match="integer"):
+        SolveConfig(max_iter=2.5)
+    assert SolveConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_non_finite_start_rejected():
