@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, differences, e_measure, measure, recall
+from .measures import Measurement, NormContext, differences, e_measure, measure
 from .polynomials import Polynomial
 
 
@@ -166,11 +166,11 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
 def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
     """Check the initial conditions at x0 and fill in the certificate.
 
-    Failure of the conditions yields an unissued certificate, not an error.
-    Where the last solve started or ended at x0, W and d come from its
-    record in measures and only E is recomputed, in O(n).
+    Failure of the conditions yields an unissued certificate, not an error,
+    and a bundle built for another degree raises DegreeMismatch.  Where the
+    last solve started or ended at x0, only E is measured again, in O(n).
     """
-    return certificate_at(bundle, recall(f, x0, bundle.ctx))
+    return certificate_at(bundle, measure(f, x0, bundle.ctx))
 
 
 def _issued(cert: Certificate, what: str) -> Certificate:
@@ -187,7 +187,7 @@ _K_CAP = 40
 def _lambda_power(cert: Certificate, k, what: str) -> tuple:
     """(kc, lambda**(3**kc)), kc = min(k, _K_CAP), at iterate index k."""
     _issued(cert, what)
-    if not (isinstance(k, numbers.Integral) and k >= 0):
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     kc = min(k, _K_CAP)
     return kc, cert.lam ** (3.0 ** kc)
@@ -208,8 +208,8 @@ def a_posteriori_bound_1(f: Polynomial, xk, bundle: GaugeBundle) -> np.ndarray:
     """gamma(E_k)/(1 - beta(E_k)) * |W_i(xk)| componentwise.
 
     At the final iterate (or x0) of the last solve this reuses solve's W
-    and d through certify_initial: it measures nothing and returns the
-    same bits as afresh.
+    and d, as every caller of ``measure`` does: it measures nothing and
+    returns the same bits as afresh.
     """
     return _issued(certify_initial(f, xk, bundle), "a posteriori bound").rho
 

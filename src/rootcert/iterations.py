@@ -1,12 +1,12 @@
 """One iteration step of each simultaneous root-finding method.
 
-Every production step maps one ``Measurement`` m to the next iterate:
-Weierstrass, Ehrlich in the Boersch-Supan form and Presic-Tanabe read
-the point m.x, W = m.w and the pairwise-difference matrix m.diff that W
-was reduced from, and they are its only readers.  Dochev-Byrnev runs
-through the Tanabe map, since the two methods are identical.  The public
-``*_step(f, x)`` functions apply the same map to ``measure(f, x)``; each
-maps an exact root vector to itself bitwise, since W is then zero.
+Every production step maps a fresh ``Measurement`` m and the matrix D
+that W was reduced from to the next iterate: Weierstrass, Ehrlich in the
+Boersch-Supan form and Presic-Tanabe read m.x, W = m.w and D, and are D's
+only readers.  Dochev-Byrnev runs through the Tanabe map, since the two
+methods are identical.  The public ``*_step(f, x)`` functions measure x
+afresh and apply the same map; each maps an exact root vector to itself
+bitwise, since W is then zero.
 The algebraically identical reference forms are test oracles in
 ``tests/oracle.py``, not part of the package.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain
-from .measures import Measurement, measure, norm_context, sigmas
+from .measures import Measurement, _measured, norm_context, sigmas
 from .polynomials import Polynomial
 
 
@@ -37,12 +37,12 @@ class StepResult:
     corrections: np.ndarray  # W_f(x) at the input point
 
 
-def _weierstrass(m: Measurement) -> np.ndarray:
+def _weierstrass(m: Measurement, diff: np.ndarray) -> np.ndarray:
     return m.x - m.w
 
 
-def _ehrlich(m: Measurement) -> np.ndarray:
-    den = 1.0 + sigmas(m.w, m.diff)
+def _ehrlich(m: Measurement, diff: np.ndarray) -> np.ndarray:
+    den = 1.0 + sigmas(m.w, diff)
     bad = np.abs(den) < 1e-14 * (1.0 + np.abs(m.x))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -50,13 +50,13 @@ def _ehrlich(m: Measurement) -> np.ndarray:
     return m.x - m.w / den
 
 
-def _tanabe(m: Measurement) -> np.ndarray:
-    return m.x - m.w * (1.0 - sigmas(m.w, m.diff))
+def _tanabe(m: Measurement, diff: np.ndarray) -> np.ndarray:
+    return m.x - m.w * (1.0 - sigmas(m.w, diff))
 
 
 def _step(step_map, f: Polynomial, x) -> StepResult:
-    m = measure(f, x, norm_context(f.degree, math.inf))
-    return StepResult(image=step_map(m), corrections=m.w)
+    m, diff = _measured(f, x, norm_context(f.degree, math.inf))
+    return StepResult(image=step_map(m, diff), corrections=m.w)
 
 
 def weierstrass_step(f: Polynomial, x) -> StepResult:
@@ -83,6 +83,6 @@ _STEP_MAPS = {
 
 
 def step_function(method: MethodKind):
-    """The map from the measurement at a point to the next iterate, used
-    by the solver for a method."""
+    """The map from the measurement at a point and its D to the next
+    iterate, used by the solver for a method."""
     return _STEP_MAPS[method]

@@ -1,25 +1,24 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
 
-``measure`` is the one path that computes W, d and E, into a
+``_measured`` is the one path that computes W, d and E, into a
 ``Measurement`` that carries its point; a zero d_i, and nothing else,
 decides that components coincide.  Each of d, W and sigma is a reduction
-of one pairwise-difference matrix per point, built by ``differences``.
+of one pairwise-difference matrix D per point, built by ``differences``.
+``_measured`` hands D to the step map that follows, D's one reader, and
+keeps it nowhere.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
-iterate in one module-level record, keyed by the exact bytes of f.coeffs
-and of the point.  ``recall``, behind ``weierstrass_correction`` and
-``certify_initial`` (hence the first a posteriori bound), looks there
-before it measures and on a hit returns the bits a fresh measurement
-gives, in fresh arrays.  ``solve``, ``measure`` and the steps never read
-the record.  It holds no matrix D, so it is O(n).
+iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
+the point.  ``measure``, behind every public function of a point but
+``solve`` and the steps, reads it first and on a hit returns the bits a
+fresh measurement gives, in fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +87,7 @@ def differences(x) -> np.ndarray:
     return diff
 
 
-def separation(x, diff=None) -> np.ndarray:
+def separation(x, diff: np.ndarray | None = None) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j|, read from diff =
     differences(x) when given; zero entries signal coinciding components
     and are left for the caller to reject."""
@@ -110,40 +109,38 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A point vector x (complex128) with W_f(x), d(x), E_f(x) =
-    ||W_f(x) / d(x)||_p and diff = differences(x), read only by the step
-    maps and None where no step follows (recall's hits, solve's x0)."""
+    """A point vector x (complex128) with W_f(x), d(x) and E_f(x) =
+    ||W_f(x) / d(x)||_p."""
 
     x: np.ndarray
     w: np.ndarray
     d: np.ndarray
     E: float
-    diff: Optional[np.ndarray] = field(repr=False)
 
 
-def _checked(f: Polynomial, x) -> np.ndarray:
+def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
-    if x.size != f.degree:
-        raise DegreeMismatch(f"{x.size} points for degree {f.degree}")
+    if not x.size == ctx.n == f.degree:
+        raise DegreeMismatch(f"{x.size} points and n = {ctx.n} for degree {f.degree}")
     return x
 
 
-def _measurement(x, w, d, ctx: NormContext, diff) -> Measurement:
-    return Measurement(x=x, w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p), diff=diff)
+def _measurement(x, w, d, ctx: NormContext) -> Measurement:
+    return Measurement(x=x, w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p))
 
 
-def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """The one evaluation of W, d and E at x that a step, a trace entry,
-    a certificate and a set of disks all read.  A zero separation d_i
-    means coinciding components and raises NonDistinctComponents."""
-    x = _checked(f, x)
+def _measured(f: Polynomial, x, ctx: NormContext):
+    """(Measurement, D) at x, measured afresh, with D = differences(x) for
+    the step map that follows.  A zero d_i means coinciding components and
+    raises NonDistinctComponents."""
+    x = _checked(f, x, ctx)
     diff = differences(x)
     d = separation(x, diff)
     if np.any(d == 0.0):
         raise NonDistinctComponents(
             f"components coincide (index {int(np.argmin(d))})")
     w = evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0))
-    return _measurement(x, w, d, ctx, diff)
+    return _measurement(x, w, d, ctx), diff
 
 
 # (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
@@ -159,24 +156,24 @@ def remember(f: Polynomial, *measurements: Measurement) -> None:
                tuple((m.x.tobytes(), m.w, m.d) for m in measurements))
 
 
-def recall(f: Polynomial, x, ctx: NormContext) -> Measurement:
-    """measure(f, x, ctx), but where the last solve measured x (its x0 or
-    its final iterate) copies of W and d come from the record, E is
-    recomputed in O(n) and diff is None."""
-    x = _checked(f, x)
+def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
+    """The Measurement of W, d and E at x.  Where the last solve measured
+    x (its x0 or its final iterate) copies of W and d come from the record
+    and E is recomputed in O(n); elsewhere x is measured afresh.  Both
+    give the same bits."""
+    x = _checked(f, x, ctx)
     coeffs, points = _record
     if coeffs == f.coeffs.tobytes():
         key = x.tobytes()
         for xb, w, d in points:
             if xb == key:
-                return _measurement(x, w.copy(), d.copy(), ctx, None)
-    return measure(f, x, ctx)
+                return _measurement(x, w.copy(), d.copy(), ctx)
+    return _measured(f, x, ctx)[0]
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:
-    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j)), read
-    from the record where it holds x."""
-    return recall(f, x, norm_context(f.degree, math.inf)).w
+    """W_i(x) = f(x_i) / (C_0 * prod over j != i of (x_i - x_j))."""
+    return measure(f, x, norm_context(f.degree, math.inf)).w
 
 
 def e_measure(f: Polynomial, x, ctx: NormContext) -> float:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import numbers
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
-from .measures import measure, norm_context, remember
+from .measures import _measured, norm_context, remember
 from .polynomials import Polynomial
 
 
@@ -30,7 +30,8 @@ class SolveConfig:
     def __post_init__(self):
         if not isinstance(self.method, MethodKind):
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.w_tol > 0:
             raise ValueError("w_tol must be positive")
@@ -104,8 +105,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     The run stops unconverged at the first iterate whose E is not finite.
 
     On return, the abort at x0 included, W and d at x0 and at the final
-    iterate replace the record in ``measures`` that weierstrass_correction
-    and certify_initial (hence a_posteriori_bound_1) read instead of
+    iterate replace the record in ``measures`` that ``measure`` (behind every
+    public function of a point but solve and the steps) reads instead of
     measuring again; solve only writes it, so a repeated request is
     measured again.  x0 is copied: the result never aliases the caller's.
     """
@@ -125,9 +126,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     step = step_function(cfg.method)
     trace = IterationTrace()
 
-    m = measure(f, x0, ctx)
-    # x0's entry for the record, without the n x n D that the loop drops
-    m0 = replace(m, diff=None)
+    m, diff = _measured(f, x0, ctx)
+    m0 = m
     certificate = None if bundle is None else certificate_at(bundle, m)
     aborted = cfg.require_certificate and not certificate.issued
     while True:
@@ -138,7 +138,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         if (converged or aborted or not math.isfinite(m.E)
                 or len(trace.iterates) > cfg.max_iter):
             break
-        m = measure(f, step(m), ctx)
+        m, diff = _measured(f, step(m, diff), ctx)
 
     disks, disjoint = [], False
     if certificate is not None and certificate.issued:

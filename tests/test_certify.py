@@ -9,6 +9,7 @@ import pytest
 
 import rootcert
 from rootcert import (
+    DegreeMismatch,
     Measurement,
     MethodKind,
     NotCertified,
@@ -25,6 +26,7 @@ from rootcert import (
     from_roots,
     gauge_bundle,
     inclusion_disks,
+    measure,
     norm_context,
     separation,
     solve,
@@ -33,7 +35,6 @@ from rootcert import (
     weierstrass_correction,
 )
 from rootcert.certify import _K_CAP, certificate_at, disks_at
-from rootcert.measures import differences
 from conftest import roots_of_unity_just_below_tau, well_separated_roots
 from oracle import dochev_byrnev_step
 
@@ -165,6 +166,26 @@ class TestCertify:
         assert cert.E0 == pytest.approx(abs(0.36 - 1) / 1.2 / 1.2, rel=1e-13)
         assert cert.E0 > 1 / 3
 
+    def test_bundle_for_another_degree_is_rejected(self):
+        # each point is 0.55 from its root; a degree-2 bundle's tau and
+        # radii would issue disks of radius <= 0.499 that all miss
+        f = from_roots([1, -1, 2j, -2j])
+        x = np.array([1.55, -1.55, 2.55j, -2.55j])
+        assert not certify_initial(
+            f, x, gauge_bundle(MethodKind.EHRLICH, norm_context(4, INF))).issued
+        b = gauge_bundle(MethodKind.EHRLICH, CTX2)
+        calls = [
+            lambda: certify_initial(f, x, b),
+            lambda: inclusion_disks(f, x, b),
+            lambda: a_posteriori_bound_1(f, x, b),
+            lambda: a_posteriori_bound_2(f, x, x, b),
+            lambda: measure(f, x, b.ctx),
+            lambda: e_measure(f, x, b.ctx),
+        ]
+        for call in calls:
+            with pytest.raises(DegreeMismatch, match="n = 2 .*degree 4"):
+                call()
+
 
 class TestBounds:
     def setup_method(self):
@@ -192,10 +213,11 @@ class TestBounds:
                 bound(self.cert, self.w0, -1)
 
     def test_bounds_reject_a_fractional_k(self):
-        # k counts iterates; numpy integers count too
+        # k counts iterates; numpy integers count too, a bool does not
         for bound in (a_priori_bound, w_contraction_bound):
-            with pytest.raises(ValueError, match="integer"):
-                bound(self.cert, self.w0, 1.5)
+            for k in (1.5, True):
+                with pytest.raises(ValueError, match="integer"):
+                    bound(self.cert, self.w0, k)
             np.testing.assert_array_equal(bound(self.cert, self.w0, np.int64(2)),
                                           bound(self.cert, self.w0, 2))
 
@@ -286,7 +308,7 @@ def test_one_certificate_one_rho(method):
 def _measurement_at(E, n):
     # certificate_at reads only E and w
     return Measurement(x=np.zeros(n, dtype=complex), w=np.full(n, 1e-3 + 0j),
-                       d=np.ones(n), E=E, diff=None)
+                       d=np.ones(n), E=E)
 
 
 def _assert_declined(cert):
@@ -436,9 +458,8 @@ class TestDisks:
             w = np.full(n, 0.25)
             w[far] = rng.choice([32.0, 63.5, 63.75, 64.0])
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
-        # tiny radii pass the O(n) test on d; no case reads diff
-        m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0,
-                        diff=None if mix == "tiny" else differences(x))
+        # tiny radii pass the O(n) test on d
+        m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0)
         disks, disjoint = disks_at(certificate_at(b, m), m)
         radii = np.array([d.radius for d in disks])
         if mix == "far":
@@ -453,8 +474,7 @@ class TestDisks:
     def test_disk_fields_are_python_scalars(self, x):
         # Disk documents center: complex and radius: float, not numpy scalars
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
-        m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0,
-                        diff=differences(X))
+        m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0)
         for disks, _ in (inclusion_disks(F, x, b),
                          disks_at(certificate_at(b, m), m)):
             assert [d.center for d in disks] == [2, -2]

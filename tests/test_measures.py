@@ -24,7 +24,7 @@ from rootcert import (
     weierstrass_step,
 )
 from rootcert import measures
-from rootcert.measures import sigmas
+from rootcert.measures import differences, sigmas
 from conftest import random_distinct_points, random_monic
 from oracle import (
     EvaluationPointCollision,
@@ -290,7 +290,7 @@ def test_kernel_w_and_d_match_loops(kac_point):
 def test_kernel_sigma_matches_oracle(kac_point):
     f, x = kac_point
     m = measure(f, x, norm_context(KAC_N, INF))
-    got = sigmas(m.w, m.diff)
+    got = sigmas(m.w, differences(x))
     for i in range(KAC_N):
         others = np.arange(KAC_N) != i
         scale = np.sum(np.abs(m.w[others] / (x[i] - x[others])))

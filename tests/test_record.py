@@ -1,8 +1,8 @@
 """The record of W and d that solve leaves at x0 and at its final iterate.
 
-weierstrass_correction and certify_initial, hence a_posteriori_bound_1,
-read it before they measure; a hit must give the bits a fresh measurement
-gives, and anything else must miss.
+measure reads it before it measures, and with it every public function of
+a point but solve and the three steps; a hit must give the bits a fresh
+measurement gives, and anything else must miss.
 """
 
 import dataclasses
@@ -17,11 +17,18 @@ from rootcert import (
     Polynomial,
     SolveConfig,
     a_posteriori_bound_1,
+    a_posteriori_bound_2,
     certify_initial,
+    e_measure,
+    ehrlich_step_bs,
     gauge_bundle,
+    inclusion_disks,
+    measure,
     norm_context,
     solve,
+    tanabe_step,
     weierstrass_correction,
+    weierstrass_step,
 )
 from conftest import random_monic, well_separated_roots
 from oracle import known_instance
@@ -57,7 +64,11 @@ def _readers(f, res, bundle):
     for name, x in (("x0", x0), ("final", xf)):
         out[f"W {name}"] = weierstrass_correction(f, x)
         out[f"certify_initial {name}"] = certify_initial(f, x, bundle)
+        out[f"measure {name}"] = measure(f, x, bundle.ctx)
+        out[f"e_measure {name}"] = e_measure(f, x, bundle.ctx)
+        out[f"inclusion_disks {name}"] = inclusion_disks(f, x, bundle)
     out["bound 1"] = a_posteriori_bound_1(f, xf, bundle)
+    out["bound 2"] = a_posteriori_bound_2(f, x0, res.trace.iterates[1], bundle)
     return out
 
 
@@ -104,13 +115,27 @@ def test_readers_measure_nothing_after_solve(method, p, counts):
     assert res.certificate.issued
     first = dict(counts)
     counts.update(evaluate=0, separation=0)
-    weierstrass_correction(f, x0)
-    certify_initial(f, x0, bundle)
+    for x in (x0, res.final):
+        weierstrass_correction(f, x)
+        certify_initial(f, x, bundle)
+        measure(f, x, bundle.ctx)
+        e_measure(f, x, bundle.ctx)
+        inclusion_disks(f, x, bundle)
     a_posteriori_bound_1(f, res.final, bundle)
     assert counts == {"evaluate": 0, "separation": 0}
     # solve only writes the record: the same request is measured again
     solve(f, x0, SolveConfig(method=method, p=p))
     assert counts == first
+
+
+@pytest.mark.parametrize("step", [weierstrass_step, ehrlich_step_bs, tanabe_step])
+def test_steps_measure_after_solve(step, counts):
+    # a step needs D, which the record does not hold
+    f, x0 = _instance(1)
+    solve(f, x0)
+    counts.update(evaluate=0)
+    step(f, x0)
+    assert counts["evaluate"] == 1
 
 
 def test_abort_at_x0_leaves_x0(counts):

@@ -235,9 +235,10 @@ def test_solve_config_validation():
     # a method name given as a string, not a MethodKind
     with pytest.raises(ValueError, match="'ehrlich'"):
         SolveConfig(method="ehrlich")
-    # a fractional count of iterations; numpy integers pass
-    with pytest.raises(ValueError, match="integer"):
-        SolveConfig(max_iter=2.5)
+    # a fractional or boolean count of iterations; numpy integers pass
+    for max_iter in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            SolveConfig(max_iter=max_iter)
     assert SolveConfig(max_iter=np.int64(3)).max_iter == 3
 
 
