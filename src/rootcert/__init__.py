@@ -49,7 +49,6 @@ from .polynomials import (
     viete,
 )
 from .solve import (
-    IterationTrace,
     SolveConfig,
     SolveResult,
     default_init,

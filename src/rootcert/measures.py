@@ -92,8 +92,8 @@ def separation(x, diff: np.ndarray | None = None) -> np.ndarray:
     differences(x) when given; zero entries signal coinciding components
     and are left for the caller to reject."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.size < 2:
-        raise ValueError("need at least 2 components")
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
     gaps = np.abs(differences(x) if diff is None else diff)
     np.fill_diagonal(gaps, np.inf)
     return gaps.min(axis=0)
@@ -120,6 +120,8 @@ class Measurement:
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1:
+        raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
     if not x.size == ctx.n == f.degree:
         raise DegreeMismatch(f"{x.size} points and n = {ctx.n} for degree {f.degree}")
     return x
@@ -144,16 +146,16 @@ def _measured(f: Polynomial, x, ctx: NormContext):
 
 
 # (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
-# of the last solve.  Only remember writes it, by one assignment, so a
-# reader that takes it whole sees one solve's entries or another's.
+# of the last solve, W and d its own copies.  Only remember writes it, by one
+# assignment, so a reader that takes it whole sees one solve or another.
 _record: tuple = (b"", ())
 
 
 def remember(f: Polynomial, *measurements: Measurement) -> None:
-    """Replace the record with the point, W and d of each measurement."""
+    """Replace the record with the point and copies of W and d of each m."""
     global _record
     _record = (f.coeffs.tobytes(),
-               tuple((m.x.tobytes(), m.w, m.d) for m in measurements))
+               tuple((m.x.tobytes(), m.w.copy(), m.d.copy()) for m in measurements))
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import numbers
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
-from .measures import _measured, norm_context, remember
+from .measures import Measurement, _measured, norm_context, remember
 from .polynomials import Polynomial
 
 
@@ -38,15 +38,11 @@ class SolveConfig:
 
 
 @dataclass
-class IterationTrace:
-    iterates: List[np.ndarray] = field(default_factory=list)
-    w_norms: List[np.ndarray] = field(default_factory=list)
-    e_values: List[float] = field(default_factory=list)
-
-
-@dataclass
 class SolveResult:
-    trace: IterationTrace
+    """trace is the Measurement of each iterate, x0's first: x_k, W_k, d_k
+    and E_k are trace[k].x, .w, .d and .E, and final is trace[-1].x."""
+
+    trace: List[Measurement]
     certificate: Optional[Certificate]
     final: np.ndarray
     disks: List[Disk]
@@ -56,7 +52,7 @@ class SolveResult:
 
     @property
     def iterations(self) -> int:
-        return len(self.trace.iterates) - 1
+        return len(self.trace) - 1
 
 
 def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
@@ -72,15 +68,15 @@ def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
     return center + radius * np.exp(1j * angles)
 
 
-def estimate_order(trace: IterationTrace) -> Optional[float]:
-    """Median empirical convergence order from the trace.
+def estimate_order(trace: List[Measurement]) -> Optional[float]:
+    """Median empirical convergence order from a trace of measurements.
 
-    Uses e_k = max_i |W_i(x^(k))| and the ratio
+    Uses e_k = max_i |W_i(x^(k))|, read from trace[k].w, and the ratio
     log(e_{k+1}/e_k) / log(e_k/e_{k-1}) over consecutive triples whose
     three e-values all lie in (1e-11, 1e-2); None with fewer than 2
     usable triples.
     """
-    e = [float(np.max(w)) for w in trace.w_norms]
+    e = [float(np.max(np.abs(m.w))) for m in trace]
     ratios = []
     for k in range(1, len(e) - 1):
         window = e[k - 1:k + 2]
@@ -100,14 +96,14 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     With require_certificate the initial conditions are verified first
     (Ehrlich / Dochev-Byrnev / Tanabe) and the run aborts with an unissued
     certificate on failure; the returned bounds and disks are then backed
-    by the semilocal theory.  Each iterate is measured once, and that
-    measurement feeds the step, the trace, the certificate and the disks.
+    by the semilocal theory.  Each iterate's one measurement is its entry
+    in the trace and feeds the step, the certificate and the disks.
     The run stops unconverged at the first iterate whose E is not finite.
 
-    On return, the abort at x0 included, W and d at x0 and at the final
-    iterate replace the record in ``measures`` that ``measure`` (behind every
-    public function of a point but solve and the steps) reads instead of
-    measuring again; solve only writes it, so a repeated request is
+    On return, the abort at x0 included, copies of W and d at x0 and at the
+    final iterate replace the record in ``measures`` that ``measure`` (behind
+    every public function of a point but solve and the steps) reads instead
+    of measuring again; solve only writes it, so a repeated request is
     measured again.  x0 is copied: the result never aliases the caller's.
     """
     x0 = np.array(x0, dtype=np.complex128)
@@ -124,19 +120,16 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
     step = step_function(cfg.method)
-    trace = IterationTrace()
+    trace = []
 
     m, diff = _measured(f, x0, ctx)
-    m0 = m
     certificate = None if bundle is None else certificate_at(bundle, m)
     aborted = cfg.require_certificate and not certificate.issued
     while True:
-        trace.iterates.append(m.x)
-        trace.w_norms.append(np.abs(m.w))
-        trace.e_values.append(m.E)
-        converged = bool(np.max(trace.w_norms[-1]) <= tol)
+        trace.append(m)
+        converged = bool(np.max(np.abs(m.w)) <= tol)
         if (converged or aborted or not math.isfinite(m.E)
-                or len(trace.iterates) > cfg.max_iter):
+                or len(trace) > cfg.max_iter):
             break
         m, diff = _measured(f, step(m, diff), ctx)
 
@@ -146,7 +139,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         if at_final.issued:
             disks, disjoint = disks_at(at_final, m)
 
-    remember(f, m0, m)
+    remember(f, trace[0], m)
     return SolveResult(trace=trace, certificate=certificate, final=m.x, disks=disks,
                        disjoint=disjoint, converged=converged and not aborted,
                        order_estimate=estimate_order(trace))

@@ -159,7 +159,7 @@ def test_criterion_4_certified_convergence_and_order():
         for roots, f, res in certified_runs(method):
             ok &= res.certificate.issued and res.converged
             ok &= res.iterations <= 10
-            ok &= float(np.max(res.trace.w_norms[-1])) <= 1e-12
+            ok &= float(np.max(np.abs(res.trace[-1].w))) <= 1e-12
             ok &= match_roots(res.final, roots).max_abs_error <= 1e-10
             est = estimate_order(res.trace)
             if est is not None:
@@ -173,8 +173,8 @@ def test_criterion_5_bound_domination():
         for roots, f, res in certified_runs(method):
             bundle = gauge_bundle(method, norm_context(f.degree, INF))
             cert = res.certificate
-            w0 = res.trace.w_norms[0]
-            xs = res.trace.iterates
+            w0 = np.abs(res.trace[0].w)
+            xs = [m.x for m in res.trace]
             for k, x in enumerate(xs):
                 m = match_roots(x, roots)
                 err = np.abs(np.asarray(x)[list(m.permutation)] - roots)
@@ -193,7 +193,7 @@ def test_criterion_6_w_contraction():
         for _, f, res in certified_runs(method):
             cert = res.certificate
             scale = max(1.0, float(np.max(np.abs(f.coeffs))))
-            w = res.trace.w_norms
+            w = [np.abs(m.w) for m in res.trace]
             for k in range(len(w) - 1):
                 if float(np.max(w[k])) < 1e-14 * scale:
                     break
@@ -210,7 +210,7 @@ def test_criterion_7_disk_localization():
             if not res.certificate.strict:
                 continue
             bundle = gauge_bundle(method, norm_context(f.degree, INF))
-            for x in res.trace.iterates:
+            for x in [m.x for m in res.trace]:
                 disks, disjoint = inclusion_disks(f, x, bundle)
                 ok &= disjoint
                 for d in disks:

@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 from rootcert import (
     BadExponent,
     DegreeMismatch,
+    MethodKind,
     NonDistinctComponents,
     Polynomial,
+    certify_initial,
     default_init,
     e_measure,
     ehrlich_step_bs,
     evaluate,
     from_roots,
+    gauge_bundle,
+    inclusion_disks,
     measure,
     norm_context,
     p_norm,
     separation,
+    solve,
     tanabe_step,
     weierstrass_correction,
     weierstrass_step,
@@ -87,6 +92,29 @@ def test_weierstrass_correction_errors():
         weierstrass_correction(f, [2, 2])
     with pytest.raises(DegreeMismatch):
         weierstrass_correction(f, [1, 2, 3])
+
+
+def test_points_must_form_a_vector():
+    # as many points as the degree, but in a 2 x 2 array: every measured
+    # path rejects the shape, not components it misreads as coinciding
+    f = from_roots([1, -1, 2j, -2j])
+    x = np.array([[1.1, -1.1], [2.1j, -2.1j]])
+    ctx = norm_context(4, INF)
+    bundle = gauge_bundle(MethodKind.EHRLICH, ctx)
+    measured = [
+        lambda: measure(f, x, ctx),
+        lambda: solve(f, x),
+        lambda: weierstrass_step(f, x),
+        lambda: ehrlich_step_bs(f, x),
+        lambda: tanabe_step(f, x),
+        lambda: certify_initial(f, x, bundle),
+        lambda: inclusion_disks(f, x, bundle),
+    ]
+    for call in measured:
+        with pytest.raises(DegreeMismatch, match="vector"):
+            call()
+    with pytest.raises(ValueError, match="vector"):
+        separation(x)
 
 
 W_ALONE = {

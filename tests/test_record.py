@@ -59,7 +59,7 @@ def _instance(seed=0):
 
 def _readers(f, res, bundle):
     """Every reader of the record at x0 and at the final iterate."""
-    x0, xf = res.trace.iterates[0], res.final
+    x0, xf = res.trace[0].x, res.final
     out = {}
     for name, x in (("x0", x0), ("final", xf)):
         out[f"W {name}"] = weierstrass_correction(f, x)
@@ -68,7 +68,7 @@ def _readers(f, res, bundle):
         out[f"e_measure {name}"] = e_measure(f, x, bundle.ctx)
         out[f"inclusion_disks {name}"] = inclusion_disks(f, x, bundle)
     out["bound 1"] = a_posteriori_bound_1(f, xf, bundle)
-    out["bound 2"] = a_posteriori_bound_2(f, x0, res.trace.iterates[1], bundle)
+    out["bound 2"] = a_posteriori_bound_2(f, x0, res.trace[1].x, bundle)
     return out
 
 
@@ -206,6 +206,26 @@ def test_hits_return_fresh_arrays():
     wf[:] = 0.0
     got = (weierstrass_correction(f, x0), weierstrass_correction(f, res.final))
     assert _bits(got) == _bits(want)
+
+
+def test_record_owns_its_arrays():
+    # the trace exposes W and d of x0 and the final iterate; writing into
+    # them must leave what the record gives
+    f, x0 = _instance(4)
+    bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(f.degree, math.inf))
+    res = solve(f, x0)
+    assert res.certificate.issued and res.iterations >= 1
+
+    def read():
+        return (weierstrass_correction(f, x0),
+                a_posteriori_bound_1(f, res.final, bundle),
+                inclusion_disks(f, res.final, bundle))
+
+    want = read()
+    res.trace[0].w[:] = 1.0
+    res.trace[-1].w[:] = 1.0
+    res.trace[-1].d[:] = 1e-300
+    assert _bits(read()) == _bits(want)
 
 
 def test_record_is_o_n():

@@ -5,7 +5,7 @@ import pytest
 
 import rootcert.measures as measures
 from rootcert import (
-    IterationTrace,
+    Measurement,
     MethodKind,
     Polynomial,
     SolveConfig,
@@ -14,16 +14,15 @@ from rootcert import (
     a_posteriori_bound_1,
     a_priori_bound,
     default_init,
-    e_measure,
     ehrlich_step_bs,
     estimate_order,
     from_roots,
     gauge_bundle,
+    measure,
     norm_context,
     solve,
     tanabe_step,
     viete,
-    weierstrass_correction,
     weierstrass_step,
 )
 from conftest import random_monic, well_separated_roots
@@ -59,11 +58,15 @@ class TestDefaultInit:
                                default_init(F, rotation=1.1))
 
 
+def _synthetic_trace(w_norms):
+    """A trace of measurements whose W_k are the given vectors."""
+    return [Measurement(x=np.zeros(w.size), w=w, d=np.ones(w.size), E=0.0)
+            for w in w_norms]
+
+
 class TestEstimateOrder:
     def test_short_trace_absent(self):
-        trace = IterationTrace(iterates=[np.zeros(2)] * 2,
-                               w_norms=[np.array([1e-3]), np.array([1e-5])],
-                               e_values=[0.1, 0.01])
+        trace = _synthetic_trace([np.array([1e-3]), np.array([1e-5])])
         assert estimate_order(trace) is None
 
     def test_synthetic_cubic_sequence(self):
@@ -71,16 +74,14 @@ class TestEstimateOrder:
         # usable window, giving two triples with ratio near 3
         exponents = [2.1, 2.785, 4.825, 10.96]
         w = [np.array([10.0 ** -a]) for a in exponents]
-        trace = IterationTrace(iterates=[np.zeros(1)] * 4, w_norms=w,
-                               e_values=[0.0] * 4)
+        trace = _synthetic_trace(w)
         est = estimate_order(trace)
         assert est is not None
         assert 2.7 <= est <= 3.3
 
     def test_window_excludes_converged_tail(self):
         w = [np.array([v]) for v in (1e-3, 1e-6, 1e-13, 1e-16)]
-        trace = IterationTrace(iterates=[np.zeros(1)] * 4, w_norms=w,
-                               e_values=[0.0] * 4)
+        trace = _synthetic_trace(w)
         assert estimate_order(trace) is None
 
     def test_quadratic_sequence(self):
@@ -94,9 +95,7 @@ class TestEstimateOrder:
         for _ in range(3):
             e.append(30 * e[-1] ** 2)
         assert all(1e-11 < v < 1e-2 for v in e)
-        trace = IterationTrace(iterates=[np.zeros(1)] * 4,
-                               w_norms=[np.array([v]) for v in e],
-                               e_values=[0.0] * 4)
+        trace = _synthetic_trace([np.array([v]) for v in e])
         assert estimate_order(trace) == pytest.approx(2.0, abs=0.2)
 
 
@@ -114,7 +113,7 @@ class TestSolve:
         res = solve(F, [1.0, -1.0])
         assert res.converged
         assert res.iterations == 0
-        assert len(res.trace.iterates) == 1
+        assert len(res.trace) == 1
 
     def test_uncertified_abort(self):
         res = solve(F, [0.6, -0.6])
@@ -128,10 +127,10 @@ class TestSolve:
     def test_result_does_not_alias_x0(self, start):
         x0 = np.array(start, dtype=complex)
         res = solve(F, x0)
-        final, first = res.final.copy(), res.trace.iterates[0].copy()
+        final, first = res.final.copy(), res.trace[0].x.copy()
         x0[:] = 7.0
         assert np.array_equal(res.final, final)
-        assert np.array_equal(res.trace.iterates[0], first)
+        assert np.array_equal(res.trace[0].x, first)
         assert np.array_equal(first, start)
 
     def test_weierstrass_requires_opt_out(self):
@@ -188,25 +187,25 @@ class TestCertifiedRunProperties:
     def test_e_values_monotone_until_floor(self, method, seed):
         _, f, res = self.run(method, seed)
         scale = max(1.0, float(np.max(np.abs(f.coeffs))))
-        for k in range(len(res.trace.e_values) - 1):
-            if np.max(res.trace.w_norms[k]) < 1e-14 * scale:
+        for k in range(len(res.trace) - 1):
+            if np.max(np.abs(res.trace[k].w)) < 1e-14 * scale:
                 break
-            assert (res.trace.e_values[k + 1]
-                    <= res.trace.e_values[k] + 1e-10)
+            assert (res.trace[k + 1].E
+                    <= res.trace[k].E + 1e-10)
 
     def test_ball_containment(self, method, seed):
         _, _, res = self.run(method, seed)
         rho = res.certificate.rho
-        x0 = res.trace.iterates[0]
-        for x in res.trace.iterates:
+        x0 = res.trace[0].x
+        for x in [m.x for m in res.trace]:
             assert np.all(np.abs(x - x0) <= rho + 1e-10)
 
     def test_bound_domination(self, method, seed):
         roots, f, res = self.run(method, seed)
         bundle = gauge_bundle(method, norm_context(f.degree, INF))
-        w0 = res.trace.w_norms[0]
+        w0 = np.abs(res.trace[0].w)
         cert = res.certificate
-        for k, x in enumerate(res.trace.iterates):
+        for k, x in enumerate([m.x for m in res.trace]):
             m = match_roots(x, roots)
             err = np.abs(np.asarray(x)[list(m.permutation)] - roots)
             assert np.all(err <= a_priori_bound(cert, w0, k) + 1e-10)
@@ -252,7 +251,7 @@ def test_non_finite_start_rejected():
 def test_non_finite_measure_stops_the_run():
     # f overflows at this finite start, so E is not finite from x0 on
     res = solve(F, [1e300, -1e300], SolveConfig(require_certificate=False))
-    assert not math.isfinite(res.trace.e_values[0])
+    assert not math.isfinite(res.trace[0].E)
     assert res.iterations == 0 and not res.converged
     np.testing.assert_array_equal(res.final, [1e300, -1e300])
 
@@ -280,14 +279,12 @@ def _plain_run(f, x0, step, cfg):
     """The solve loop written out over the public step functions."""
     ctx = norm_context(f.degree, cfg.p)
     tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
-    trace = IterationTrace()
+    trace = []
     x = np.asarray(x0, dtype=complex)
     while True:
-        w = weierstrass_correction(f, x)
-        trace.iterates.append(x)
-        trace.w_norms.append(np.abs(w))
-        trace.e_values.append(e_measure(f, x, ctx))
-        if np.max(np.abs(w)) <= tol or len(trace.iterates) > cfg.max_iter:
+        m = measure(f, x, ctx)
+        trace.append(m)
+        if np.max(np.abs(m.w)) <= tol or len(trace) > cfg.max_iter:
             return x, trace
         x = step(f, x).image
 
@@ -305,11 +302,11 @@ def test_solve_equals_plain_loop_bitwise(method, step, seed):
     final, trace = _plain_run(f, default_init(f), step, cfg)
     assert res.iterations >= 3
     assert np.array_equal(res.final, final)
-    for got, want in [(res.trace.iterates, trace.iterates),
-                      (res.trace.w_norms, trace.w_norms)]:
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert res.trace.e_values == trace.e_values
+    assert len(res.trace) == len(trace)
+    for got, want in zip(res.trace, trace):
+        assert all(np.array_equal(getattr(got, k), getattr(want, k))
+                   for k in ("x", "w", "d"))
+        assert got.E == want.E
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -320,6 +317,6 @@ def test_dochev_byrnev_runs_the_tanabe_map(seed):
     ta = solve(f, x0, SolveConfig(method=MethodKind.TANABE))
     assert db.certificate.issued and db.iterations >= 1
     assert np.array_equal(db.final, ta.final)
-    assert len(db.trace.iterates) == len(ta.trace.iterates)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(db.trace.iterates, ta.trace.iterates))
+    assert len(db.trace) == len(ta.trace)
+    assert all(np.array_equal(a.x, b.x)
+               for a, b in zip(db.trace, ta.trace))

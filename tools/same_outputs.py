@@ -13,7 +13,9 @@ The grid: Kac polynomials (non-leading coefficients uniform in the unit
 square, as ``tests/conftest.random_monic``) of the degrees in DEGREES for
 seeds 1 and 2.  On each, ``solve`` runs uncertified with every method from
 ``default_init``, and certified with each certifiable method from a point
-near the uncertified Ehrlich run's final iterate.  At 0.9 times
+near the uncertified Ehrlich run's final iterate; right after each, the
+corrections W at that start point and ``a_posteriori_bound_1`` at its
+final iterate, both of which read the record the solve left.  At 0.9 times
 ``default_init`` it runs ``inclusion_disks`` for Ehrlich and Tanabe, the
 three public steps and ``separation``.  ``inclusion_disks`` also runs at
 the final iterate of the uncertified Ehrlich and Tanabe solves, right
@@ -92,8 +94,16 @@ def grid() -> dict:
                     out[f"{tag} inclusion_disks {method.value} at its final iterate"] = (
                         _run(lambda: rc.inclusion_disks(f, r.final, bundles[method])))
             for method in (kinds.EHRLICH, kinds.DOCHEV_BYRNEV, kinds.TANABE):
-                out[f"{tag} certified solve {method.value}"] = _run(
-                    lambda: rc.solve(f, near, rc.SolveConfig(method=method)))
+                r = _run(lambda: rc.solve(f, near, rc.SolveConfig(method=method)))
+                out[f"{tag} certified solve {method.value}"] = r
+                if isinstance(r, Exception):
+                    continue
+                # what certify-near asks right after its solve, from the record
+                out[f"{tag} W at the start of certified {method.value}"] = (
+                    _run(lambda: rc.weierstrass_correction(f, near)))
+                out[f"{tag} bound 1 at the final iterate of certified {method.value}"] = (
+                    _run(lambda: rc.a_posteriori_bound_1(
+                        f, r.final, rc.gauge_bundle(method, ctx))))
             x = 0.9 * x0
             for method, bundle in bundles.items():
                 out[f"{tag} inclusion_disks {method.value}"] = _run(
