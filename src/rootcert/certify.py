@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotCertified, UnsupportedCombination
+from .errors import DegreeMismatch, NotCertified, UnsupportedCombination
 from .iterations import MethodKind
 from .measures import Measurement, NormContext, differences, e_measure, measure
 from .polynomials import Polynomial
@@ -184,19 +184,23 @@ def _issued(cert: Certificate, what: str) -> Certificate:
 _K_CAP = 40
 
 
-def _lambda_power(cert: Certificate, k, what: str) -> tuple:
-    """(kc, lambda**(3**kc)), kc = min(k, _K_CAP), at iterate index k."""
+def _bound_args(cert: Certificate, norms, k, what: str) -> tuple:
+    """(kc, lambda**(3**kc), norms), kc = min(k, _K_CAP), for n norms >= 0."""
     _issued(cert, what)
     if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    norms, n = np.asarray(norms, dtype=float), cert.bundle.ctx.n
+    if norms.shape != (n,):
+        raise DegreeMismatch(f"{what} needs {n} norms, got shape {norms.shape}")
+    if not np.all(norms >= 0.0):
+        raise ValueError(f"{what} needs norms >= 0")
     kc = min(k, _K_CAP)
-    return kc, cert.lam ** (3.0 ** kc)
+    return kc, cert.lam ** (3.0 ** kc), norms
 
 
 def a_priori_bound(cert: Certificate, w0_norm, k: int) -> np.ndarray:
     """Componentwise error bound at iterate k computed from x0 alone."""
-    kc, lam_r = _lambda_power(cert, k, "a priori bound")
-    w0_norm = np.asarray(w0_norm, dtype=float)
+    kc, lam_r, w0_norm = _bound_args(cert, w0_norm, k, "a priori bound")
     s_k = (3.0 ** kc - 1.0) / 2.0
     lam_s = cert.lam ** s_k
     # gamma evaluated at E0 * lambda**S_k, which stays inside [0, tau)
@@ -227,8 +231,7 @@ def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndar
 
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     """Bound on |W_i| after one more step: theta * lambda**(3**k) * |W_i(xk)|."""
-    _, lam_r = _lambda_power(cert, k, "contraction bound")
-    wk_norm = np.asarray(wk_norm, dtype=float)
+    _, lam_r, wk_norm = _bound_args(cert, wk_norm, k, "contraction bound")
     return cert.theta * lam_r * wk_norm
 
 

@@ -113,6 +113,8 @@ def _result_to_json(result) -> dict:
 
 
 def _cmd_solve(args) -> tuple:
+    if args.method == MethodKind.WEIERSTRASS.value and not args.no_certificate:
+        raise InputError("--method weierstrass has no certificate: add --no-certificate")
     if args.batch:
         return _solve_batch(args)
     if args.seed is not None and args.guess is not None:
@@ -142,8 +144,8 @@ def _solve_lines(cfg: SolveConfig, result) -> list:
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
               for i, z in enumerate(result.final)] + _disk_lines(result.disks)
-    if result.order_estimate is not None:
-        lines.append(f"order estimate: {result.order_estimate:.3f}")
+    if (order := result.order_estimate) is not None:
+        lines.append(f"order estimate: {order:.3f}")
     return lines
 
 

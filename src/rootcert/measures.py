@@ -145,17 +145,17 @@ def _measured(f: Polynomial, x, ctx: NormContext):
     return _measurement(x, w, d, ctx), diff
 
 
-# (f.coeffs bytes, ((point bytes, W, d), ...)) at x0 and the final iterate
-# of the last solve, W and d its own copies.  Only remember writes it, by one
-# assignment, so a reader that takes it whole sees one solve or another.
-_record: tuple = (b"", ())
+# {(f.coeffs bytes, point bytes): (W, d)} at x0 and the final iterate of
+# the last solve, W and d its own copies.  Only remember writes it, by one
+# assignment, so a reader's one lookup sees one solve or another.
+_record: dict = {}
 
 
 def remember(f: Polynomial, *measurements: Measurement) -> None:
-    """Replace the record with the point and copies of W and d of each m."""
+    """Replace the record with copies of W and d of each m, keyed by bytes."""
     global _record
-    _record = (f.coeffs.tobytes(),
-               tuple((m.x.tobytes(), m.w.copy(), m.d.copy()) for m in measurements))
+    _record = {(f.coeffs.tobytes(), m.x.tobytes()): (m.w.copy(), m.d.copy())
+               for m in measurements}
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
@@ -164,13 +164,10 @@ def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     and E is recomputed in O(n); elsewhere x is measured afresh.  Both
     give the same bits."""
     x = _checked(f, x, ctx)
-    coeffs, points = _record
-    if coeffs == f.coeffs.tobytes():
-        key = x.tobytes()
-        for xb, w, d in points:
-            if xb == key:
-                return _measurement(x, w.copy(), d.copy(), ctx)
-    return _measured(f, x, ctx)[0]
+    hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
+    if hit is None:
+        return _measured(f, x, ctx)[0]
+    return _measurement(x, hit[0].copy(), hit[1].copy(), ctx)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:

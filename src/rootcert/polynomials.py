@@ -88,12 +88,10 @@ def evaluate(f: Polynomial, z):
     nb = f.blocks.shape[0]
     zz = np.tile(z.reshape(1, -1), (nb, 1))
     acc = np.repeat(f.blocks[:, :1], z.size, axis=1)
-    prod = np.empty_like(acc)
     for col in f.blocks.T[1:, :, None]:
         # not in place: numpy rounds an in-place product of length 1
         # differently from a longer one
-        np.multiply(acc, zz, out=prod)
-        np.add(prod, col, out=acc)
+        acc = acc * zz + col
     value = acc[0]
     if nb > 1:
         zb = zz[0]

@@ -40,7 +40,8 @@ class SolveConfig:
 @dataclass
 class SolveResult:
     """trace is the Measurement of each iterate, x0's first: x_k, W_k, d_k
-    and E_k are trace[k].x, .w, .d and .E, and final is trace[-1].x."""
+    and E_k are trace[k].x, .w, .d and .E, and final is trace[-1].x.
+    order_estimate is estimate_order(trace), computed each time it is read."""
 
     trace: List[Measurement]
     certificate: Optional[Certificate]
@@ -48,11 +49,14 @@ class SolveResult:
     disks: List[Disk]
     disjoint: bool
     converged: bool
-    order_estimate: Optional[float]
 
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def order_estimate(self) -> Optional[float]:
+        return estimate_order(self.trace)
 
 
 def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
@@ -77,14 +81,8 @@ def estimate_order(trace: List[Measurement]) -> Optional[float]:
     usable triples.
     """
     e = [float(np.max(np.abs(m.w))) for m in trace]
-    ratios = []
-    for k in range(1, len(e) - 1):
-        window = e[k - 1:k + 2]
-        if all(1e-11 < v < 1e-2 for v in window):
-            denom = math.log(e[k] / e[k - 1])
-            numer = math.log(e[k + 1] / e[k])
-            if denom != 0.0:
-                ratios.append(numer / denom)
+    ratios = [math.log(c / b) / math.log(b / a) for a, b, c in zip(e, e[1:], e[2:])
+              if all(1e-11 < v < 1e-2 for v in (a, b, c)) and math.log(b / a) != 0.0]
     if len(ratios) < 2:
         return None
     return float(statistics.median(ratios))
@@ -97,7 +95,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     (Ehrlich / Dochev-Byrnev / Tanabe) and the run aborts with an unissued
     certificate on failure; the returned bounds and disks are then backed
     by the semilocal theory.  Each iterate's one measurement is its entry
-    in the trace and feeds the step, the certificate and the disks.
+    in the trace and feeds the step, the certificate and the disks; the
+    order estimate is read from the trace only when asked for.
     The run stops unconverged at the first iterate whose E is not finite.
 
     On return, the abort at x0 included, copies of W and d at x0 and at the
@@ -141,5 +140,4 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 
     remember(f, trace[0], m)
     return SolveResult(trace=trace, certificate=certificate, final=m.x, disks=disks,
-                       disjoint=disjoint, converged=converged and not aborted,
-                       order_estimate=estimate_order(trace))
+                       disjoint=disjoint, converged=converged and not aborted)

@@ -9,7 +9,7 @@ from rootcert import Polynomial, e_measure, from_roots
 def empty_record(monkeypatch):
     """Each test starts with an empty record of solve's measurements, so
     no test's call counts depend on which solve ran before it."""
-    monkeypatch.setattr(measures, "_record", (b"", ()))
+    monkeypatch.setattr(measures, "_record", {})
 
 
 def random_monic(n, rng):

@@ -221,6 +221,19 @@ class TestBounds:
             np.testing.assert_array_equal(bound(self.cert, self.w0, np.int64(2)),
                                           bound(self.cert, self.w0, 2))
 
+    def test_bounds_take_one_norm_per_component(self):
+        # a vector of n entries >= 0, as every function of a point checks n
+        cert = solve(Polynomial([1, 0, -1]), [2.0, -2.0]).certificate
+        assert cert.issued
+        for bound in (a_priori_bound, w_contraction_bound):
+            for norms in ([1.0], np.ones((3, 3)), np.ones((2, 1)), 1.0):
+                with pytest.raises(DegreeMismatch):
+                    bound(cert, norms, 2)
+            for norms in ([-1.0, 1.0], [math.nan, 1.0]):
+                with pytest.raises(ValueError, match=">= 0"):
+                    bound(cert, norms, 2)
+            assert bound(cert, [0.5, 0.0], 2).shape == (2,)
+
     def test_a_priori_requires_certificate(self):
         cert = certify_initial(F, [0.6, -0.6], self.bundle)
         with pytest.raises(NotCertified):

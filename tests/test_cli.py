@@ -52,6 +52,16 @@ class TestSolve:
         assert code == 0
         assert data["converged"] is True
 
+    def test_weierstrass_needs_the_no_certificate_flag(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--coeffs", "1,0,-1",
+                                 "--method", "weierstrass")
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ") and "--no-certificate" in err
+        code, data, err = run_json(capsys, "solve", "--coeffs", "1,0,-1",
+                                   "--method", "weierstrass", "--no-certificate")
+        assert code == 0 and err == ""
+        assert data["converged"] is True and data["certificate"] is None
+
     def test_default_init_with_seed_reproducible(self, capsys):
         a = run_json(capsys, "solve", "--coeffs", "1,0,-1", "--seed", "5",
                      "--no-certificate")

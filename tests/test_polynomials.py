@@ -49,7 +49,8 @@ def test_evaluate_bitwise_equals_plain_horner(n):
         assert np.shape(got) == () and got == horner(f, zi)
 
 
-@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 128])
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 128,
+                               255, 256, 257, 511, 512, 513])
 def test_evaluate_scalar_calls_equal_array_call(n):
     rng = np.random.default_rng([6, n])
     f = random_monic(n, rng)

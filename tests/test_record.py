@@ -243,6 +243,8 @@ def test_record_is_o_n():
         elif isinstance(v, (tuple, list)):
             for e in v:
                 walk(e)
+        elif isinstance(v, dict):
+            walk(list(v.values()))
 
     walk(measures._record)
     # W and d at two points; the keys are bytes of f.coeffs and the points

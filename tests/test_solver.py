@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -150,6 +151,27 @@ class TestSolve:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             solve(F, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("method", list(MethodKind), ids=lambda m: m.value)
+    def test_order_estimate_is_read_from_the_trace(self, method, monkeypatch):
+        # solve computes no estimate; the result reads it from its trace
+        module = importlib.import_module("rootcert.solve")
+        calls = []
+
+        def counted(trace, _original=module.estimate_order):
+            calls.append(len(trace))
+            return _original(trace)
+
+        monkeypatch.setattr(module, "estimate_order", counted)
+        # (z - 1)^2 (z + 1): linear convergence at the double root gives an
+        # estimate for every method
+        f = Polynomial([1, -1, -1, 1])
+        res = solve(f, default_init(f), SolveConfig(method=method,
+                                                    require_certificate=False))
+        assert res.converged and calls == []
+        got = res.order_estimate
+        assert calls == [len(res.trace)]
+        assert got is not None and got == estimate_order(res.trace)
 
     @pytest.mark.parametrize("method", [MethodKind.EHRLICH,
                                         MethodKind.DOCHEV_BYRNEV,

@@ -17,10 +17,14 @@ near the uncertified Ehrlich run's final iterate; right after each, the
 corrections W at that start point and ``a_posteriori_bound_1`` at its
 final iterate, both of which read the record the solve left.  At 0.9 times
 ``default_init`` it runs ``inclusion_disks`` for Ehrlich and Tanabe, the
-three public steps and ``separation``.  ``inclusion_disks`` also runs at
+three public steps and ``separation``, and ``evaluate`` at four of those
+points, one scalar call each, and once on a 2-D array that stacks all of
+them over 1.1 times ``default_init``.  ``inclusion_disks`` also runs at
 the final iterate of the uncertified Ehrlich and Tanabe solves, right
 after each.  A call that raises records the exception's type and message
-as its output.
+as its output.  A dataclass is compared by its public attributes, fields
+and properties alike, by name, so moving a value between a field and a
+property is no difference.
 """
 
 from __future__ import annotations
@@ -47,10 +51,13 @@ def _bits(v):
     if isinstance(v, BaseException):
         return type(v).__name__, str(v)
     if dataclasses.is_dataclass(v):
+        cls = type(v)
+        names = {fl.name for fl in dataclasses.fields(v)} | {
+            name for name in dir(cls) if isinstance(getattr(cls, name), property)}
         # a certificate's bundle holds closures; its gauges are the inputs
-        return type(v).__name__, tuple(
-            (fl.name, _bits(getattr(v, fl.name)))
-            for fl in dataclasses.fields(v) if fl.name != "bundle")
+        return cls.__name__, tuple(
+            (name, _bits(getattr(v, name))) for name in sorted(names)
+            if name != "bundle" and not name.startswith("_"))
     if isinstance(v, (list, tuple)):
         return tuple(_bits(e) for e in v)
     return v
@@ -111,6 +118,10 @@ def grid() -> dict:
             for step in (rc.weierstrass_step, rc.ehrlich_step_bs, rc.tanabe_step):
                 out[f"{tag} {step.__name__}"] = _run(lambda: step(f, x))
             out[f"{tag} separation"] = _run(lambda: rc.separation(x))
+            out[f"{tag} evaluate at scalars"] = _run(
+                lambda: [rc.evaluate(f, z) for z in x[:4].tolist()])
+            out[f"{tag} evaluate on a 2-D array"] = _run(
+                lambda: rc.evaluate(f, np.stack([x, 1.1 * x0])))
     return {name: _bits(v) for name, v in out.items()}
 
 
