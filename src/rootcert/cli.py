@@ -82,8 +82,6 @@ def _load_request(args) -> tuple:
         coeffs = args.coeffs
     if args.guess is not None:
         guess = args.guess
-    if guess is not None and not np.all(np.isfinite(guess)):
-        raise InputError("guess must be finite")
     if coeffs is None:
         raise InputError("no polynomial given: use --coeffs or --input")
     return Polynomial(coeffs), guess
@@ -132,10 +130,11 @@ def _cmd_solve(args) -> tuple:
                       require_certificate=not args.no_certificate)
     result = solve(f, guess, cfg)
     status = 2 if cfg.require_certificate and not result.certificate.issued else 0
-    return status, _result_to_json(result), lambda: _solve_lines(cfg, result)
+    payload = _result_to_json(result)
+    return status, payload, lambda: _solve_lines(cfg, result, payload["order_estimate"])
 
 
-def _solve_lines(cfg: SolveConfig, result) -> list:
+def _solve_lines(cfg: SolveConfig, result, order) -> list:
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
@@ -144,7 +143,7 @@ def _solve_lines(cfg: SolveConfig, result) -> list:
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
               for i, z in enumerate(result.final)] + _disk_lines(result.disks)
-    if (order := result.order_estimate) is not None:
+    if order is not None:
         lines.append(f"order estimate: {order:.3f}")
     return lines
 

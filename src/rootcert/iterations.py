@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain
-from .measures import Measurement, _measured, norm_context, sigmas
+from .measures import Measurement, _checked, _measured, norm_context, sigmas
 from .polynomials import Polynomial
 
 
@@ -55,7 +55,8 @@ def _tanabe(m: Measurement, diff: np.ndarray) -> np.ndarray:
 
 
 def _step(step_map, f: Polynomial, x) -> StepResult:
-    m, diff = _measured(f, x, norm_context(f.degree, math.inf))
+    ctx = norm_context(f.degree, math.inf)
+    m, diff = _measured(f, _checked(f, x, ctx), ctx)
     return StepResult(image=step_map(m, diff), corrections=m.w)
 
 

@@ -1,12 +1,13 @@
 """Measurement layer: separations, Weierstrass corrections and the
 initial-condition measure E_f together with its p-norm machinery.
 
-``_measured`` is the one path that computes W, d and E, into a
-``Measurement`` that carries its point; a zero d_i, and nothing else,
-decides that components coincide.  Each of d, W and sigma is a reduction
-of one pairwise-difference matrix D per point, built by ``differences``.
-``_measured`` hands D to the step map that follows, D's one reader, and
-keeps it nowhere.
+``_checked`` copies a caller's point where it enters and requires n =
+f.degree finite entries; ``_measured``, the one path that computes W, d
+and E into a ``Measurement`` that carries its point, trusts it.  A zero
+d_i, and nothing else, decides that components coincide.  Each of d, W
+and sigma is a reduction of one pairwise-difference matrix D per point,
+built by ``differences``, which ``_measured`` hands to the step map that
+follows, D's one reader, and keeps nowhere.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
@@ -18,6 +19,7 @@ fresh measurement gives, in fresh arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +46,9 @@ class NormContext:
 
 def norm_context(n: int, p: float) -> NormContext:
     """Build a NormContext for an n-point configuration and exponent p."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    p = float(p)
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n, p = int(n), float(p)
     if math.isnan(p) or p < 1:
         raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p}")
     if p == 1:
@@ -119,11 +121,14 @@ class Measurement:
 
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
+    """A complex128 copy of x, a vector of n = ctx.n = f.degree finite points."""
+    x = np.array(x, dtype=np.complex128)
     if x.ndim != 1:
         raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
     if not x.size == ctx.n == f.degree:
         raise DegreeMismatch(f"{x.size} points and n = {ctx.n} for degree {f.degree}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
     return x
 
 
@@ -132,10 +137,9 @@ def _measurement(x, w, d, ctx: NormContext) -> Measurement:
 
 
 def _measured(f: Polynomial, x, ctx: NormContext):
-    """(Measurement, D) at x, measured afresh, with D = differences(x) for
-    the step map that follows.  A zero d_i means coinciding components and
-    raises NonDistinctComponents."""
-    x = _checked(f, x, ctx)
+    """(Measurement, D) at the checked point x, measured afresh, with D =
+    differences(x) for the step map that follows.  A zero d_i means
+    coinciding components and raises NonDistinctComponents."""
     diff = differences(x)
     d = separation(x, diff)
     if np.any(d == 0.0):
@@ -162,7 +166,7 @@ def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The Measurement of W, d and E at x.  Where the last solve measured
     x (its x0 or its final iterate) copies of W and d come from the record
     and E is recomputed in O(n); elsewhere x is measured afresh.  Both
-    give the same bits."""
+    give the same bits.  x passes _checked, so m.x is a copy of it."""
     x = _checked(f, x, ctx)
     hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
     if hit is None:

@@ -15,7 +15,7 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import MethodKind, step_function
-from .measures import Measurement, _measured, norm_context, remember
+from .measures import Measurement, _checked, _measured, norm_context, remember
 from .polynomials import Polynomial
 
 
@@ -33,8 +33,11 @@ class SolveConfig:
         if not (isinstance(self.max_iter, numbers.Integral)
                 and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.w_tol > 0:
-            raise ValueError("w_tol must be positive")
+        if not (math.isfinite(self.w_tol) and self.w_tol > 0):
+            raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")
+        if self.method is MethodKind.WEIERSTRASS and self.require_certificate:
+            raise UnsupportedCombination("the Weierstrass method has no certificate; "
+                                         "set require_certificate=False")
 
 
 @dataclass
@@ -103,25 +106,18 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     final iterate replace the record in ``measures`` that ``measure`` (behind
     every public function of a point but solve and the steps) reads instead
     of measuring again; solve only writes it, so a repeated request is
-    measured again.  x0 is copied: the result never aliases the caller's.
+    measured again.  x0 is checked and copied as every function of a point
+    checks and copies its point: the result never aliases the caller's.
     """
-    x0 = np.array(x0, dtype=np.complex128)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("starting points must be finite")
     ctx = norm_context(f.degree, cfg.p)
-    bundle = None
-    if cfg.method is not MethodKind.WEIERSTRASS:
-        bundle = gauge_bundle(cfg.method, ctx)
-    elif cfg.require_certificate:
-        raise UnsupportedCombination(
-            "the Weierstrass method has no certificate; "
-            "set require_certificate=False")
+    bundle = (None if cfg.method is MethodKind.WEIERSTRASS
+              else gauge_bundle(cfg.method, ctx))
 
     tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
     step = step_function(cfg.method)
     trace = []
 
-    m, diff = _measured(f, x0, ctx)
+    m, diff = _measured(f, _checked(f, x0, ctx), ctx)
     certificate = None if bundle is None else certificate_at(bundle, m)
     aborted = cfg.require_certificate and not certificate.issued
     while True:

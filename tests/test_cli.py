@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +87,29 @@ class TestSolve:
         _, data, _ = run_json(capsys, *argv)
         assert code == 0 and data["order_estimate"] is not None
         assert f"order estimate: {data['order_estimate']:.3f}" in out.splitlines()
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_order_estimate_computed_once(self, capsys, monkeypatch, mode):
+        # rootcert.solve names the function, so patch the module itself
+        module = sys.modules["rootcert.solve"]
+        calls = []
+
+        def counted(trace, _original=module.estimate_order):
+            calls.append(len(trace))
+            return _original(trace)
+
+        monkeypatch.setattr(module, "estimate_order", counted)
+        code, out, _ = run_cli(capsys, "solve", "--coeffs", "1,-1,-1,1",
+                               "--no-certificate", *mode)
+        assert code == 0 and len(calls) == 1
+        assert "order estimate: " in out or mode == ["--json"]
+
+    def test_infinite_tolerance_is_input_error(self, capsys):
+        # an infinite tolerance would report the starting points as roots
+        code, out, err = run_cli(capsys, "solve", "--coeffs", "1,0,-1",
+                                 "--guess", "2,-2", "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ") and "w_tol" in err
 
     def test_json_round_trips_bitwise(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--coeffs", "1,0,-1",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from rootcert import (
     MethodKind,
     NonDistinctComponents,
     Polynomial,
+    SolveConfig,
+    a_posteriori_bound_1,
+    a_posteriori_bound_2,
     certify_initial,
     default_init,
     e_measure,
@@ -66,6 +70,17 @@ class TestNormContext:
         with pytest.raises(BadExponent):
             norm_context(3, 0.5)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 1, np.int64(1), "3"])
+    def test_degree_must_be_an_integer_of_at_least_2(self, n):
+        # no polynomial has degree 2.5, so no context is built for it
+        with pytest.raises(ValueError, match=re.escape(f"integer >= 2, got {n!r}")):
+            norm_context(n, 2.0)
+
+    def test_numpy_integer_degree(self):
+        # stored as an int, so a certificate's n stays JSON-serialisable
+        ctx = norm_context(np.int64(5), 2)
+        assert ctx == norm_context(5, 2) and type(ctx.n) is int
+
 
 def test_separation_examples():
     np.testing.assert_array_equal(separation([2, -2]), [4, 4])
@@ -115,6 +130,49 @@ def test_points_must_form_a_vector():
             call()
     with pytest.raises(ValueError, match="vector"):
         separation(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_points_must_be_finite(bad):
+    # the gate where a point enters rejects it, rather than each function
+    # returning NaN or a bound raising NotCertified (E = nan)
+    f = from_roots([1, -1, 2j, -2j])
+    good = np.array([1.01, -1.01, 2.01j, -2.01j])
+    x = np.array([bad, -1.1, 2.1j, -2.1j])
+    ctx = norm_context(4, INF)
+    bundle = gauge_bundle(MethodKind.EHRLICH, ctx)
+    assert certify_initial(f, good, bundle).issued
+    measured = [
+        lambda: measure(f, x, ctx),
+        lambda: weierstrass_correction(f, x),
+        lambda: e_measure(f, x, ctx),
+        lambda: certify_initial(f, x, bundle),
+        lambda: a_posteriori_bound_1(f, x, bundle),
+        lambda: a_posteriori_bound_2(f, x, good, bundle),
+        lambda: a_posteriori_bound_2(f, good, x, bundle),
+        lambda: inclusion_disks(f, x, bundle),
+        lambda: weierstrass_step(f, x),
+        lambda: ehrlich_step_bs(f, x),
+        lambda: tanabe_step(f, x),
+        lambda: solve(f, x, SolveConfig(require_certificate=False)),
+    ]
+    for call in measured:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["fresh", "recorded"])
+def test_measurement_does_not_alias_the_point(recorded):
+    f = from_roots([1, -1, 2j, -2j])
+    x = np.array([1.1, -1.1, 2.1j, -2.1j])
+    ctx = norm_context(4, INF)
+    if recorded:
+        solve(f, x, SolveConfig(require_certificate=False))
+    m = measure(f, x, ctx)
+    assert not np.shares_memory(m.x, x)
+    x[0] = 7.0
+    assert m.x[0] == 1.1
+    assert measure(f, m.x, ctx).w.tobytes() == m.w.tobytes()
 
 
 W_ALONE = {

@@ -6,6 +6,7 @@ import pytest
 
 import rootcert.measures as measures
 from rootcert import (
+    BadExponent,
     Measurement,
     MethodKind,
     Polynomial,
@@ -261,6 +262,26 @@ def test_solve_config_validation():
         with pytest.raises(ValueError, match="integer"):
             SolveConfig(max_iter=max_iter)
     assert SolveConfig(max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("w_tol", [math.inf, math.nan, -1e-13])
+def test_w_tol_must_be_finite_and_positive(w_tol):
+    # an infinite tolerance would report the starting points as roots
+    with pytest.raises(ValueError, match="w_tol must be finite and > 0"):
+        SolveConfig(w_tol=w_tol)
+
+
+def test_weierstrass_certificate_rejected_by_the_config():
+    # the rule holds where the config is built, before any solve
+    with pytest.raises(UnsupportedCombination, match="no certificate"):
+        SolveConfig(method=MethodKind.WEIERSTRASS)
+    assert SolveConfig(method=MethodKind.WEIERSTRASS,
+                       require_certificate=False).method is MethodKind.WEIERSTRASS
+
+
+def test_bad_exponent_reported_before_bad_start():
+    with pytest.raises(BadExponent):
+        solve(F, [np.nan, -2.0], SolveConfig(p=0.5))
 
 
 def test_non_finite_start_rejected():
