@@ -9,7 +9,6 @@ and the ready-made corollary thresholds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DegreeMismatch, NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, differences, e_measure, measure
+from .measures import Measurement, NormContext, _integer, differences, e_measure, measure
 from .polynomials import Polynomial
 
 
@@ -134,7 +133,8 @@ def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
         return _ehrlich_bundle(ctx)
     if method in (MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE):
         return _dochev_byrnev_bundle(method, ctx)
-    raise UnsupportedCombination(f"no certification for the method {method!r}")
+    name = method.value if isinstance(method, MethodKind) else method
+    raise UnsupportedCombination(f"no certification for the method {name!r}")
 
 
 def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
@@ -187,8 +187,7 @@ _K_CAP = 40
 def _bound_args(cert: Certificate, norms, k, what: str) -> tuple:
     """(kc, lambda**(3**kc), norms), kc = min(k, _K_CAP), for n norms >= 0."""
     _issued(cert, what)
-    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0):
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    _integer("k", k, 0)
     norms, n = np.asarray(norms, dtype=float), cert.bundle.ctx.n
     if norms.shape != (n,):
         raise DegreeMismatch(f"{what} needs {n} norms, got shape {norms.shape}")

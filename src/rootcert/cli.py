@@ -3,17 +3,17 @@
 Subcommands: solve, certify, disks, thresholds.  Polynomials come either
 from --coeffs (comma-separated reals, leading-first) or from a JSON file
 with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]};
-solve --batch DIR solves each JSON file of DIR as --input would.  solve
---seed rotates the default starting points and conflicts with --guess; a
-guess in an --input file takes precedence over it.  --json and --batch
-print the payload as one line from json's C encoder (an indent selects
-the pure-Python one; python -m json.tool indents).  Each subcommand
-returns (exit status, payload, render); render() gives the text lines,
-built only when printed.  _attempt turns a failure into a status, one
-stderr line and an empty render.  Requests run with numpy's
-floating-point warnings off, so stderr carries only those lines.
-Exit status: 0 on success, 2 on an unissued certificate in
-require-certificate mode, 1 on input and usage errors; a batch exits 1
+solve checks its flags before any input; --batch DIR solves each JSON file
+of DIR with one SolveConfig, as --input would.  solve --seed rotates the
+default starting points and conflicts with --guess; a guess in an --input
+file takes precedence over it.  --json and --batch print the payload as one
+line from json's C encoder (an indent selects the pure-Python one; python
+-m json.tool indents).  Each subcommand returns (exit status, payload,
+render); render() gives the text lines, built only when printed.  _attempt
+turns a failure into a status, one stderr line and an empty render.
+Requests run with numpy's floating-point warnings off, so stderr carries
+only those lines.  Exit status: 0 on success, 2 on an unissued certificate
+in require-certificate mode, 1 on input and usage errors; a batch exits 1
 if any file failed, else 2 if any certificate was not issued.
 """
 
@@ -66,11 +66,11 @@ def reals(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")], dtype=np.complex128)
 
 
-def _load_request(args) -> tuple:
+def _load_request(args, path) -> tuple:
     coeffs = guess = None
-    if args.input:
+    if path:
         try:
-            data = json.loads(Path(args.input).read_text())
+            data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read the input file: {exc}") from None
         if not isinstance(data, dict) or "coeffs" not in data:
@@ -111,27 +111,30 @@ def _result_to_json(result) -> dict:
 
 
 def _cmd_solve(args) -> tuple:
+    """Build the request's one SolveConfig, then solve its input or batch."""
     if args.method == MethodKind.WEIERSTRASS.value and not args.no_certificate:
         raise InputError("--method weierstrass has no certificate: add --no-certificate")
-    if args.batch:
-        return _solve_batch(args)
     if args.seed is not None and args.guess is not None:
         raise InputError("--seed rotates the default starting points; "
                          "it takes no --guess")
-    f, guess = _load_request(args)
-    if guess is None and args.seed is None:
-        guess = default_init(f)
-    elif guess is None:
-        # default_init, rotated at random
-        rng = np.random.default_rng(args.seed)
-        guess = default_init(f, rotation=float(rng.uniform(0, 2 * np.pi)))
     cfg = SolveConfig(method=MethodKind(args.method), p=args.p,
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
-    result = solve(f, guess, cfg)
-    status = 2 if cfg.require_certificate and not result.certificate.issued else 0
-    payload = _result_to_json(result)
-    return status, payload, lambda: _solve_lines(cfg, result, payload["order_estimate"])
+
+    def one(path) -> tuple:
+        f, guess = _load_request(args, path)
+        if guess is None and args.seed is None:
+            guess = default_init(f)
+        elif guess is None:
+            # default_init, rotated at random
+            rng = np.random.default_rng(args.seed)
+            guess = default_init(f, rotation=float(rng.uniform(0, 2 * np.pi)))
+        result = solve(f, guess, cfg)
+        payload = _result_to_json(result)
+        return (2 if cfg.require_certificate and not result.certificate.issued else 0,
+                payload, lambda: _solve_lines(cfg, result, payload["order_estimate"]))
+
+    return _solve_batch(args, one) if args.batch else one(args.input)
 
 
 def _solve_lines(cfg: SolveConfig, result, order) -> list:
@@ -148,9 +151,8 @@ def _solve_lines(cfg: SolveConfig, result, order) -> list:
     return lines
 
 
-def _solve_batch(args) -> tuple:
-    """Solve every JSON file of the directory, in name order, through
-    _cmd_solve; the payload maps each file that gave a result to it."""
+def _solve_batch(args, one) -> tuple:
+    """Map each JSON file of the directory, in name order, to one(path)."""
     if args.coeffs is not None or args.guess is not None or args.input:
         raise InputError("--batch takes no --coeffs, --guess or --input")
     directory = Path(args.batch)
@@ -159,8 +161,7 @@ def _solve_batch(args) -> tuple:
         raise InputError(f"no JSON files in {directory}")
     results, statuses = {}, set()
     for path in files:
-        one = argparse.Namespace(**{**vars(args), "input": str(path), "batch": None})
-        status, payload, _ = _attempt(_cmd_solve, one, f"{path.name}: ")
+        status, payload, _ = _attempt(one, path, f"{path.name}: ")
         statuses.add(status)
         if payload is not None:
             results[path.name] = payload
@@ -171,7 +172,7 @@ def _solve_batch(args) -> tuple:
 
 def _point_request(args) -> tuple:
     """(f, point vector, gauge bundle) of a certify or disks request."""
-    f, guess = _load_request(args)
+    f, guess = _load_request(args, args.input)
     if guess is None:
         raise InputError(f"{args.subcommand} needs --guess or a guess in the input file")
     ctx = norm_context(f.degree, args.p)

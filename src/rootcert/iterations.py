@@ -75,15 +75,10 @@ def tanabe_step(f: Polynomial, x) -> StepResult:
     return _step(_tanabe, f, x)
 
 
+# method -> the map from a measurement and its D to the next iterate
 _STEP_MAPS = {
     MethodKind.WEIERSTRASS: _weierstrass,
     MethodKind.EHRLICH: _ehrlich,
     MethodKind.DOCHEV_BYRNEV: _tanabe,
     MethodKind.TANABE: _tanabe,
 }
-
-
-def step_function(method: MethodKind):
-    """The map from the measurement at a point and its D to the next
-    iterate, used by the solver for a method."""
-    return _STEP_MAPS[method]

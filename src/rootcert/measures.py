@@ -44,11 +44,16 @@ class NormContext:
     b: float
 
 
+def _integer(name: str, v, low: int) -> int:
+    """int(v) by the one rule for an integer setting: an Integral, not a bool, >= low."""
+    if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
 def norm_context(n: int, p: float) -> NormContext:
     """Build a NormContext for an n-point configuration and exponent p."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    n, p = int(n), float(p)
+    n, p = _integer("n", n, 2), float(p)
     if math.isnan(p) or p < 1:
         raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p}")
     if p == 1:

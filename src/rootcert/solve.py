@@ -5,7 +5,6 @@ measurements, stopping rules and empirical convergence-order estimation.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 from typing import List, Optional
@@ -14,13 +13,15 @@ import numpy as np
 
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
-from .iterations import MethodKind, step_function
-from .measures import Measurement, _checked, _measured, norm_context, remember
+from .iterations import _STEP_MAPS, MethodKind
+from .measures import Measurement, _checked, _integer, _measured, norm_context, remember
 from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """A solve's settings, each checked once, when built; p by norm_context's rule."""
+
     method: MethodKind = MethodKind.EHRLICH
     p: float = math.inf
     max_iter: int = 100
@@ -30,9 +31,8 @@ class SolveConfig:
     def __post_init__(self):
         if not isinstance(self.method, MethodKind):
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
-        if not (isinstance(self.max_iter, numbers.Integral)
-                and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        norm_context(2, self.p)
+        _integer("max_iter", self.max_iter, 1)
         if not (math.isfinite(self.w_tol) and self.w_tol > 0):
             raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")
         if self.method is MethodKind.WEIERSTRASS and self.require_certificate:
@@ -114,7 +114,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
               else gauge_bundle(cfg.method, ctx))
 
     tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
-    step = step_function(cfg.method)
+    step = _STEP_MAPS[cfg.method]
     trace = []
 
     m, diff = _measured(f, _checked(f, x0, ctx), ctx)

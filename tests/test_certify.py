@@ -166,6 +166,17 @@ class TestCertify:
         assert cert.E0 == pytest.approx(abs(0.36 - 1) / 1.2 / 1.2, rel=1e-13)
         assert cert.E0 > 1 / 3
 
+    def test_unsupported_method_named_by_its_value(self):
+        with pytest.raises(UnsupportedCombination) as exc:
+            gauge_bundle(MethodKind.WEIERSTRASS, CTX2)
+        assert str(exc.value) == "no certification for the method 'weierstrass'"
+        # an argument that is no MethodKind shows as its repr
+        with pytest.raises(UnsupportedCombination) as exc:
+            gauge_bundle("ehrlich", CTX2)
+        assert str(exc.value) == "no certification for the method 'ehrlich'"
+        with pytest.raises(UnsupportedCombination, match=r"method None$"):
+            gauge_bundle(None, CTX2)
+
     def test_bundle_for_another_degree_is_rejected(self):
         # each point is 0.55 from its root; a degree-2 bundle's tau and
         # radii would issue disks of radius <= 0.499 that all miss

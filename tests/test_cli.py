@@ -164,6 +164,13 @@ class TestCertify:
         assert data["certificate"]["issued"] is False
         assert data["certificate"]["phi0"] is None
 
+    @pytest.mark.parametrize("subcommand", ["certify", "disks"])
+    def test_uncertifiable_method_named_by_its_value(self, capsys, subcommand):
+        code, out, err = run_cli(capsys, subcommand, "--method", "weierstrass",
+                                 "--coeffs", "1,0,-1", "--guess", "2,-2")
+        assert (code, out) == (1, "")
+        assert err == "error: no certification for the method 'weierstrass'\n"
+
     def test_missing_guess_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--coeffs", "1,0,-1")
         assert code == 1
@@ -277,6 +284,12 @@ class TestInputHandling:
         assert code == 1
         assert "input error" in err
         assert out == ""
+
+    def test_flags_checked_before_the_input_is_read(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", "--input",
+                                 str(tmp_path / "absent.json"), "--max-iter", "0")
+        assert (code, out) == (1, "")
+        assert err == "input error: max_iter must be an integer >= 1, got 0\n"
 
     def test_guess_in_file_takes_precedence_over_seed(self, capsys, tmp_path):
         _write_request(tmp_path / "a.json", [1, 0, 0, -1], [1.2, -0.6, 0.1])
@@ -440,6 +453,18 @@ class TestBatch:
         code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path), *option)
         assert code == 1 and out == ""
         assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize("flag", [
+        ["--max-iter", "0"], ["--p", "0.5"], ["--tol", "nan"]])
+    def test_bad_flag_reported_once_before_any_file(self, capsys, tmp_path, flag):
+        # the request's one config is built before the directory is read
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        _write_request(tmp_path / "b.json", [1, 0, -4])
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path), *flag)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert ".json" not in lines[0]
 
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))

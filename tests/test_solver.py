@@ -279,6 +279,13 @@ def test_weierstrass_certificate_rejected_by_the_config():
                        require_certificate=False).method is MethodKind.WEIERSTRASS
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_bad_exponent_rejected_by_the_config(p):
+    # p passes norm_context's rule where the config is built, before any solve
+    with pytest.raises(BadExponent, match="p must satisfy 1 <= p <= inf"):
+        SolveConfig(p=p)
+
+
 def test_bad_exponent_reported_before_bad_start():
     with pytest.raises(BadExponent):
         solve(F, [np.nan, -2.0], SolveConfig(p=0.5))
