@@ -45,21 +45,34 @@ def _finite_or_none(v: float):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verified initial-condition record.
-
-    issued means E0 < tau and phi(E0) <= 1; strict additionally requires
-    phi(E0) < 1, which is what licenses cubic order and disk disjointness.
+    """Verified initial-condition record: E0 = E_f(x0), phi0 = phi(E0)
+    (inf where none can issue), and theta = psi(E0) and the radii rho where
+    issued (else NaN and None).  issued, strict, lambda and the order are
+    read from phi0: issued means phi0 <= 1; strict means phi0 < 1, which
+    licenses cubic order and disk disjointness.
     """
 
     bundle: GaugeBundle = field(repr=False)  # the gauge functions it was issued under
     E0: float
     phi0: float
-    strict: bool
-    lam: float
     theta: float
     rho: Optional[np.ndarray]
-    order: Optional[int]
-    issued: bool
+
+    @property
+    def issued(self) -> bool:
+        return self.phi0 <= 1.0
+
+    @property
+    def strict(self) -> bool:
+        return self.phi0 < 1.0
+
+    @property
+    def lam(self) -> float:
+        return self.phi0 if self.issued else math.nan
+
+    @property
+    def order(self) -> Optional[int]:
+        return 3 if self.strict else None
 
     def to_dict(self) -> dict:
         ctx = self.bundle.ctx
@@ -151,16 +164,10 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
             phi0 = beta0 / psi0
     except (OverflowError, ZeroDivisionError):
         pass  # phi0 stays inf, so nothing is issued
-    issued = phi0 <= 1.0
-    strict = issued and phi0 < 1.0
-    if issued:
-        lam, theta = phi0, psi0
-        rho = bundle.gamma(m.E) / (1.0 - beta0) * np.abs(m.w)
-    else:
-        lam, theta, rho = math.nan, math.nan, None
-    return Certificate(bundle=bundle, E0=m.E, phi0=phi0, strict=strict,
-                       lam=lam, theta=theta, rho=rho,
-                       order=3 if strict else None, issued=issued)
+    if not phi0 <= 1.0:
+        return Certificate(bundle, m.E, phi0, theta=math.nan, rho=None)
+    rho = bundle.gamma(m.E) / (1.0 - beta0) * np.abs(m.w)
+    return Certificate(bundle, m.E, phi0, theta=psi0, rho=rho)
 
 
 def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:

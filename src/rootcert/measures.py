@@ -51,11 +51,16 @@ def _integer(name: str, v, low: int) -> int:
     return int(v)
 
 
+def _exponent(p) -> float:
+    """float(p) by the one rule for an exponent: 1 <= p <= inf."""
+    if math.isnan(p := float(p)) or p < 1:
+        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p}")
+    return p
+
+
 def norm_context(n: int, p: float) -> NormContext:
     """Build a NormContext for an n-point configuration and exponent p."""
-    n, p = _integer("n", n, 2), float(p)
-    if math.isnan(p) or p < 1:
-        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p}")
+    n, p = _integer("n", n, 2), _exponent(p)
     if p == 1:
         q, a, b = math.inf, 1.0, 1.0
     elif math.isinf(p):
@@ -70,7 +75,7 @@ def norm_context(n: int, p: float) -> NormContext:
 def p_norm(v, p: float) -> float:
     """p-norm of a nonnegative real vector, rescaled by the maximum to
     avoid overflow for large p; inf where an entry is inf."""
-    v = np.asarray(v, dtype=float)
+    v, p = np.asarray(v, dtype=float), _exponent(p)
     if v.size == 0:
         return 0.0
     m = float(np.max(v))
@@ -94,14 +99,21 @@ def differences(x) -> np.ndarray:
     return diff
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, where its entries are all finite, as every point must be."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
+    return x
+
+
 def separation(x, diff: np.ndarray | None = None) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j|, read from diff =
-    differences(x) when given; zero entries signal coinciding components
-    and are left for the caller to reject."""
+    differences(x) when given, else from x, checked finite; zero entries
+    signal coinciding components and are left for the caller to reject."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
-    gaps = np.abs(differences(x) if diff is None else diff)
+    gaps = np.abs(differences(_finite(x)) if diff is None else diff)
     np.fill_diagonal(gaps, np.inf)
     return gaps.min(axis=0)
 
@@ -132,9 +144,7 @@ def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
         raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
     if not x.size == ctx.n == f.degree:
         raise DegreeMismatch(f"{x.size} points and n = {ctx.n} for degree {f.degree}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
-    return x
+    return _finite(x)
 
 
 def _measurement(x, w, d, ctx: NormContext) -> Measurement:

@@ -14,13 +14,14 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import Measurement, _checked, _integer, _measured, norm_context, remember
+from .measures import (Measurement, _checked, _exponent, _integer, _measured, norm_context,
+                       remember)
 from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """A solve's settings, each checked once, when built; p by norm_context's rule."""
+    """A solve's settings, each checked once, when built."""
 
     method: MethodKind = MethodKind.EHRLICH
     p: float = math.inf
@@ -31,7 +32,7 @@ class SolveConfig:
     def __post_init__(self):
         if not isinstance(self.method, MethodKind):
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
-        norm_context(2, self.p)
+        _exponent(self.p)
         _integer("max_iter", self.max_iter, 1)
         if not (math.isfinite(self.w_tol) and self.w_tol > 0):
             raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")

@@ -153,6 +153,13 @@ class TestCertify:
                                                       rel=1e-14)
         np.testing.assert_allclose(cert.rho, [1.0243902, 1.0243902], rtol=1e-6)
 
+    def test_certificate_stores_what_certificate_at_decided(self):
+        # issued, strict, lambda and the order are each read from phi0
+        assert [fl.name for fl in dataclasses.fields(rootcert.Certificate)] == [
+            "bundle", "E0", "phi0", "theta", "rho"]
+        for name in ("issued", "strict", "lam", "order"):
+            assert isinstance(getattr(rootcert.Certificate, name), property), name
+
     def test_exact_roots_trivial_certificate(self):
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
         cert = certify_initial(F, [1.0, -1.0], b)

@@ -149,6 +149,16 @@ class TestCertify:
                               "--guess", "0.6,-0.6")
         assert code == 2
 
+    def test_unissued_certificate_json(self, capsys):
+        # E0 = 4/9 >= tau = 1/3: every value read from phi(E0) is false or null
+        code, data, _ = run_json(capsys, "certify", "--coeffs", "1,0,-1",
+                                 "--guess", "0.6,-0.6")
+        assert code == 2
+        assert data == {"certificate": {
+            "method": "ehrlich", "n": 2, "p": "inf", "E0": 0.4444444444444445,
+            "tau": 1 / 3, "phi0": None, "strict": False, "lambda": None,
+            "theta": None, "rho": None, "order": None, "issued": False}}
+
     def test_beta_overflow_just_below_tau_exits_2(self, capsys, tmp_path):
         # Ehrlich at n = 300, p = 2: beta overflows at this E0 < tau
         ctx = norm_context(300, 2.0)

@@ -93,6 +93,13 @@ def test_separation_needs_two_components():
         separation([1.0])
 
 
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0, 2.0]], ids=["nan", "inf"])
+def test_separation_needs_finite_points(x):
+    # the rule every function of a point applies where the point enters
+    with pytest.raises(ValueError, match="points must be finite"):
+        separation(x)
+
+
 def test_weierstrass_correction_examples():
     f = Polynomial([1, 0, -1])
     np.testing.assert_allclose(weierstrass_correction(f, [2, -2]), [0.75, -0.75])
@@ -275,6 +282,12 @@ def test_p_norm_of_an_empty_vector_is_zero(p):
 def test_p_norm_huge_p_no_overflow():
     v = np.array([1e200, 2e200])
     assert p_norm(v, 100.0) == pytest.approx(2e200, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, np.nan], ids=["0", "-1", "0.5", "nan"])
+def test_p_norm_takes_norm_contexts_exponent_rule(p):
+    with pytest.raises(BadExponent, match="1 <= p <= inf"):
+        p_norm([1.0, 2.0], p)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -44,9 +44,13 @@ def _bits(v):
     if isinstance(v, (float, complex, np.floating, np.complexfloating)):
         return np.complex128(v).tobytes()
     if dataclasses.is_dataclass(v):
-        # a certificate's bundle is the caller's own object
-        return tuple(_bits(getattr(v, fl.name)) for fl in dataclasses.fields(v)
-                     if fl.name != "bundle")
+        # fields and properties alike; a certificate's bundle is the
+        # caller's own object
+        cls = type(v)
+        names = [fl.name for fl in dataclasses.fields(v)] + sorted(
+            name for name in dir(cls) if isinstance(getattr(cls, name), property))
+        return tuple((name, _bits(getattr(v, name))) for name in names
+                     if name != "bundle")
     if isinstance(v, (list, tuple)):
         return tuple(_bits(e) for e in v)
     return v
