@@ -180,7 +180,9 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
     return certificate_at(bundle, measure(f, x0, bundle.ctx))
 
 
-def _issued(cert: Certificate, what: str) -> Certificate:
+def _issued(cert: Optional[Certificate], what: str) -> Certificate:
+    if cert is None:
+        raise NotCertified(f"{what} needs an issued certificate, got None")
     if not cert.issued:
         raise NotCertified(f"{what} needs an issued certificate (E = {cert.E0:.6g})")
     return cert
@@ -241,29 +243,28 @@ def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     return cert.theta * lam_r * wk_norm
 
 
-def _apart(radii: np.ndarray, m: Measurement) -> bool:
-    """True when |x_i - x_j| > r_i + r_j for every i != j, as rounded.
+def disjoint_at(cert: Certificate, m: Measurement) -> bool:
+    """True when cert is strict and its radii r keep |x_i - x_j| > r_i + r_j, i != j.
 
     |x_i - x_j| >= d_i and rounded addition is monotone, so r_i + max r <
     d_i for every i settles it in O(n) from m.d; only where that fails
     are the pairwise distances formed from m.x.  Both give the same answer.
     """
-    if np.all(radii + radii.max() < m.d):
+    if not cert.strict:
+        return False
+    if np.all(cert.rho + cert.rho.max() < m.d):
         return True
-    close = np.abs(differences(m.x)) <= radii[:, None] + radii[None, :]
+    close = np.abs(differences(m.x)) <= cert.rho[:, None] + cert.rho[None, :]
     np.fill_diagonal(close, False)
     return not np.any(close)
 
 
-def disks_at(cert: Certificate, m: Measurement):
+def disks_at(cert: Certificate, m: Measurement) -> list:
     """Inclusion disks centred at the point m.x, from its measurement m
-    and its certificate cert; see inclusion_disks.  Disjointness reads
-    the separations m.d, and the pairwise distances of m.x only when the
-    O(n) test on m.d fails."""
+    and its issued certificate cert, radius rho_i each; see
+    inclusion_disks, and disjoint_at for their disjointness."""
     radii = _issued(cert, "inclusion disks").rho
-    centers = m.x.tolist()
-    disks = [Disk(c, r) for c, r in zip(centers, radii.tolist())]
-    return disks, bool(cert.strict and _apart(radii, m))
+    return [Disk(c, r) for c, r in zip(m.x.tolist(), radii.tolist())]
 
 
 def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
@@ -275,7 +276,8 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     xk, and forms the pairwise distances only when that fails.
     """
     m = measure(f, xk, bundle.ctx)
-    return disks_at(certificate_at(bundle, m), m)
+    cert = certificate_at(bundle, m)
+    return disks_at(cert, m), disjoint_at(cert, m)
 
 
 def solve_R() -> float:

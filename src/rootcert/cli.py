@@ -98,13 +98,13 @@ def _disk_lines(disks) -> list:
             for i, d in enumerate(disks)]
 
 
-def _result_to_json(result) -> dict:
+def _result_to_json(result, disks) -> dict:
     return {
         "certificate": None if result.certificate is None
         else result.certificate.to_dict(),
         "converged": result.converged,
         "roots": [_complex_to_json(z) for z in result.final.tolist()],
-        **_disks_payload(result.disks, result.disjoint),
+        **_disks_payload(disks, result.disjoint),
         "iterations": result.iterations,
         "order_estimate": result.order_estimate,
     }
@@ -130,14 +130,15 @@ def _cmd_solve(args) -> tuple:
             rng = np.random.default_rng(args.seed)
             guess = default_init(f, rotation=float(rng.uniform(0, 2 * np.pi)))
         result = solve(f, guess, cfg)
-        payload = _result_to_json(result)
+        disks = result.disks
+        payload = _result_to_json(result, disks)
         return (2 if cfg.require_certificate and not result.certificate.issued else 0,
-                payload, lambda: _solve_lines(cfg, result, payload["order_estimate"]))
+                payload, lambda: _solve_lines(cfg, result, disks, payload["order_estimate"]))
 
     return _solve_batch(args, one) if args.batch else one(args.input)
 
 
-def _solve_lines(cfg: SolveConfig, result, order) -> list:
+def _solve_lines(cfg: SolveConfig, result, disks, order) -> list:
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
@@ -145,7 +146,7 @@ def _solve_lines(cfg: SolveConfig, result, order) -> list:
         lines.append(f"certificate issued: {c.issued}   E0 = {c.E0:.6g}   "
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
-              for i, z in enumerate(result.final)] + _disk_lines(result.disks)
+              for i, z in enumerate(result.final)] + _disk_lines(disks)
     if order is not None:
         lines.append(f"order estimate: {order:.3f}")
     return lines

@@ -51,10 +51,14 @@ def _integer(name: str, v, low: int) -> int:
     return int(v)
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _exponent(p) -> float:
-    """float(p) by the one rule for an exponent: 1 <= p <= inf."""
-    if math.isnan(p := float(p)) or p < 1:
-        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p}")
+    """float(p) by the one rule for an exponent: a real, not a bool, 1 <= p <= inf."""
+    if not _real(p) or math.isnan(p := float(p)) or p < 1:
+        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p!r}")
     return p
 
 

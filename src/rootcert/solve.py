@@ -11,11 +11,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certify import Certificate, Disk, certificate_at, disks_at, gauge_bundle
+from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import (Measurement, _checked, _exponent, _integer, _measured, norm_context,
-                       remember)
+from .measures import (Measurement, _checked, _exponent, _integer, _measured, _real,
+                       norm_context, remember)
 from .polynomials import Polynomial
 
 
@@ -34,8 +34,10 @@ class SolveConfig:
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
         _exponent(self.p)
         _integer("max_iter", self.max_iter, 1)
-        if not (math.isfinite(self.w_tol) and self.w_tol > 0):
+        if not (_real(self.w_tol) and math.isfinite(self.w_tol) and self.w_tol > 0):
             raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")
+        if not isinstance(rc := self.require_certificate, (bool, np.bool_)):
+            raise ValueError(f"require_certificate must be a bool, got {rc!r}")
         if self.method is MethodKind.WEIERSTRASS and self.require_certificate:
             raise UnsupportedCombination("the Weierstrass method has no certificate; "
                                          "set require_certificate=False")
@@ -45,14 +47,24 @@ class SolveConfig:
 class SolveResult:
     """trace is the Measurement of each iterate, x0's first: x_k, W_k, d_k
     and E_k are trace[k].x, .w, .d and .E, and final is trace[-1].x.
-    order_estimate is estimate_order(trace), computed each time it is read."""
+    final_certificate is the certificate at trace[-1], None unless certificate
+    issued; disks, disjoint (read from it) and order_estimate are computed when read."""
 
     trace: List[Measurement]
     certificate: Optional[Certificate]
+    final_certificate: Optional[Certificate]
     final: np.ndarray
-    disks: List[Disk]
-    disjoint: bool
     converged: bool
+
+    @property
+    def disks(self) -> List[Disk]:
+        c = self.final_certificate
+        return disks_at(c, self.trace[-1]) if c is not None and c.issued else []
+
+    @property
+    def disjoint(self) -> bool:
+        c = self.final_certificate
+        return c is not None and disjoint_at(c, self.trace[-1])
 
     @property
     def iterations(self) -> int:
@@ -99,8 +111,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     (Ehrlich / Dochev-Byrnev / Tanabe) and the run aborts with an unissued
     certificate on failure; the returned bounds and disks are then backed
     by the semilocal theory.  Each iterate's one measurement is its entry
-    in the trace and feeds the step, the certificate and the disks; the
-    order estimate is read from the trace only when asked for.
+    in the trace and feeds the step and the certificates at x0 and the final
+    iterate; the disks and the order estimate are read only when asked for.
     The run stops unconverged at the first iterate whose E is not finite.
 
     On return, the abort at x0 included, copies of W and d at x0 and at the
@@ -129,12 +141,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             break
         m, diff = _measured(f, step(m, diff), ctx)
 
-    disks, disjoint = [], False
-    if certificate is not None and certificate.issued:
-        at_final = certificate_at(bundle, m)
-        if at_final.issued:
-            disks, disjoint = disks_at(at_final, m)
-
     remember(f, trace[0], m)
-    return SolveResult(trace=trace, certificate=certificate, final=m.x, disks=disks,
-                       disjoint=disjoint, converged=converged and not aborted)
+    at_final = certificate_at(bundle, m) if certificate and certificate.issued else None
+    return SolveResult(trace=trace, certificate=certificate, final_certificate=at_final,
+                       final=m.x, converged=converged and not aborted)

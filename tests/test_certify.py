@@ -34,7 +34,7 @@ from rootcert import (
     w_contraction_bound,
     weierstrass_correction,
 )
-from rootcert.certify import _K_CAP, certificate_at, disks_at
+from rootcert.certify import _K_CAP, certificate_at, disjoint_at, disks_at
 from conftest import roots_of_unity_just_below_tau, well_separated_roots
 from oracle import dochev_byrnev_step
 
@@ -336,6 +336,16 @@ def test_one_certificate_one_rho(method):
                                   a_posteriori_bound_1(f, res.final, bundle))
 
 
+@pytest.mark.parametrize("bound", [a_priori_bound, w_contraction_bound])
+def test_missing_certificate_is_not_certified(bound):
+    # a Weierstrass run has no certificate, and a bound from it says so
+    r = solve(F, [2.0, -2.0], SolveConfig(method=MethodKind.WEIERSTRASS,
+                                           require_certificate=False))
+    assert r.certificate is None
+    with pytest.raises(NotCertified, match="got None"):
+        bound(r.certificate, np.abs(r.trace[0].w), r.iterations)
+
+
 def _measurement_at(E, n):
     # certificate_at reads only E and w
     return Measurement(x=np.zeros(n, dtype=complex), w=np.full(n, 1e-3 + 0j),
@@ -491,7 +501,8 @@ class TestDisks:
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
         # tiny radii pass the O(n) test on d
         m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0)
-        disks, disjoint = disks_at(certificate_at(b, m), m)
+        cert = certificate_at(b, m)
+        disks, disjoint = disks_at(cert, m), disjoint_at(cert, m)
         radii = np.array([d.radius for d in disks])
         if mix == "far":
             # r_i + max r >= d_i for the others: the pairwise test decides
@@ -506,8 +517,8 @@ class TestDisks:
         # Disk documents center: complex and radius: float, not numpy scalars
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
         m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0)
-        for disks, _ in (inclusion_disks(F, x, b),
-                         disks_at(certificate_at(b, m), m)):
+        for disks in (inclusion_disks(F, x, b)[0],
+                      disks_at(certificate_at(b, m), m)):
             assert [d.center for d in disks] == [2, -2]
             for d in disks:
                 assert type(d.center) is complex

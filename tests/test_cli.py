@@ -601,6 +601,29 @@ class TestOutputForm:
             main(single[:-1])
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--batch"]],
+                         ids=["text", "json", "batch"])
+def test_disks_built_once_per_solved_input(capsys, tmp_path, monkeypatch, mode):
+    # the payload and the text lines share one disk list and one test
+    calls = []
+    for module in (sys.modules["rootcert.solve"], sys.modules["rootcert.certify"]):
+        for name in ("disks_at", "disjoint_at"):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+    _write_request(tmp_path / "a.json", [1, -6, 11, -6], [0.9, 2.1, 3.1])
+    _write_request(tmp_path / "b.json", [1, 0, -1], [2, -2])
+    if mode == ["--batch"]:
+        argv, solved = ["solve", "--batch", str(tmp_path)], 2
+    else:
+        argv, solved = ["solve", "--input", str(tmp_path / "a.json"), *mode], 1
+    code, out, _ = run_cli(capsys, *argv)
+    # text mode renders one disk line per root from the same list
+    assert code == 0 and out.count("disk[") == (0 if mode else 3)
+    assert sorted(calls) == ["disjoint_at"] * solved + ["disks_at"] * solved
+
+
 def test_main_reuses_parser_without_carrying_state(capsys):
     # each call of a sequence through one parser prints and returns what
     # the same call does through a freshly built one

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -15,11 +16,13 @@ from rootcert import (
     UnsupportedCombination,
     a_posteriori_bound_1,
     a_priori_bound,
+    certify_initial,
     default_init,
     ehrlich_step_bs,
     estimate_order,
     from_roots,
     gauge_bundle,
+    inclusion_disks,
     measure,
     norm_context,
     solve,
@@ -370,3 +373,89 @@ def test_dochev_byrnev_runs_the_tanabe_map(seed):
     assert len(db.trace) == len(ta.trace)
     assert all(np.array_equal(a.x, b.x)
                for a, b in zip(db.trace, ta.trace))
+
+
+@pytest.mark.parametrize("kwargs", [
+    # a truthy string would abort a run that was asked not to certify
+    {"require_certificate": "false"}, {"require_certificate": 0},
+    {"require_certificate": None},
+    {"w_tol": True}, {"w_tol": np.bool_(True)}, {"w_tol": "1e-13"},
+], ids=repr)
+def test_config_settings_have_one_type_rule(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("p", [True, False, np.bool_(True), "inf", "2"], ids=repr)
+def test_exponent_is_a_real_number_not_a_bool_or_string(p):
+    for build in (lambda: SolveConfig(p=p), lambda: norm_context(3, p),
+                  lambda: measures.p_norm([1.0, 2.0], p)):
+        with pytest.raises(BadExponent, match="1 <= p <= inf"):
+            build()
+
+
+def test_numpy_scalars_pass_the_config_rules():
+    cfg = SolveConfig(p=np.float64(2.0), w_tol=np.float32(1e-10),
+                      require_certificate=np.bool_(False))
+    assert solve(F, [0.6, -0.6], cfg).converged
+
+
+def test_solve_result_fields():
+    # the disks and their disjointness are read from the final certificate
+    assert [fl.name for fl in dataclasses.fields(SolveResult)] == [
+        "trace", "certificate", "final_certificate", "final", "converged"]
+    assert isinstance(SolveResult.disks, property)
+    assert isinstance(SolveResult.disjoint, property)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+@pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV,
+                                    MethodKind.TANABE])
+@pytest.mark.parametrize("n", [8, 64])
+def test_final_certificate_is_the_certificate_at_final(n, method, p):
+    # seeded Kac polynomial, started next to its roots so that x0 certifies
+    f = random_monic(n, np.random.default_rng([4200, n]))
+    near = solve(f, default_init(f), SolveConfig(require_certificate=False)).final
+    r = solve(f, near * (1.0 + 1e-9), SolveConfig(method=method, p=p))
+    bundle = gauge_bundle(method, norm_context(n, p))
+    c, want = r.final_certificate, certify_initial(f, r.final, bundle)
+    assert r.certificate.issued and c.issued
+    assert c.bundle is r.certificate.bundle
+    assert _bits([c.E0, c.phi0, c.theta]) == _bits([want.E0, want.phi0, want.theta])
+    assert _bits(c.rho) == _bits(want.rho)
+    assert _bits(a_posteriori_bound_1(f, r.final, bundle)) == _bits(c.rho)
+    disks, disjoint = inclusion_disks(f, r.final, bundle)
+    assert r.disjoint is disjoint
+    assert _bits([d.center for d in r.disks]) == _bits([d.center for d in disks])
+    assert _bits([d.radius for d in r.disks]) == _bits(c.rho)
+
+
+@pytest.mark.parametrize("method, start, require", [
+    (MethodKind.WEIERSTRASS, [2.0, -2.0], False),
+    (MethodKind.EHRLICH, [0.6, -0.6], False),  # x0 not issued, run anyway
+    (MethodKind.EHRLICH, [0.6, -0.6], True),  # the abort at x0
+], ids=["weierstrass", "unissued", "abort"])
+def test_no_final_certificate_unless_x0_certified(method, start, require):
+    r = solve(F, start, SolveConfig(method=method, require_certificate=require))
+    assert r.final_certificate is None
+    assert r.disks == [] and r.disjoint is False
+
+
+def test_solve_builds_no_disks(monkeypatch):
+    # solve decides the certificates; the disks and the disjointness test
+    # run once each time the result is asked for them
+    module = importlib.import_module("rootcert.solve")
+    calls = []
+    for name in ("disks_at", "disjoint_at"):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    r = solve(F, [2.0, -2.0])
+    assert r.final_certificate.strict and calls == []
+    assert len(r.disks) == 2 and r.disjoint
+    assert calls == ["disks_at", "disjoint_at"]
