@@ -31,6 +31,7 @@ class GaugeBundle:
     gamma: Callable[[float], float]
     psi: Callable[[float], float]
     beta: Callable[[float], float]
+    threshold: Optional[float]  # the corollary's sufficient bound on E, or None
 
     def mu(self, t: float) -> float:
         return 1.0 - t * self.gamma(t)
@@ -106,7 +107,7 @@ def _product_bound(u: float, v: float, n: int) -> float:
 
 def _ehrlich_bundle(ctx: NormContext) -> GaugeBundle:
     a, b, n = ctx.a, ctx.b, ctx.n
-    tau = 1.0 / (a + b)
+    tau, threshold = 1.0 / (a + b), 1.0 / (2.0 * a + 2.0)
 
     def gamma(t):
         return 1.0 / (1.0 - a * t)
@@ -118,7 +119,7 @@ def _ehrlich_bundle(ctx: NormContext) -> GaugeBundle:
         core = a * t * t / ((1.0 - a * t) * (1.0 - (a + 1.0) * t))
         return core * _product_bound(a * t, 1.0 - (a + b) * t, n)
 
-    return GaugeBundle(MethodKind.EHRLICH, ctx, tau, gamma, psi, beta)
+    return GaugeBundle(MethodKind.EHRLICH, ctx, tau, gamma, psi, beta, threshold)
 
 
 def _dochev_byrnev_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
@@ -137,7 +138,9 @@ def _dochev_byrnev_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
         return core * _product_bound(a * t * (1.0 + a * t),
                                      1.0 - b * t - a * b * t * t, n)
 
-    return GaugeBundle(method, ctx, tau, gamma, psi, beta)
+    # the corollaries cover p = inf and p = 1; no other p has a threshold
+    threshold = {math.inf: 4.0 / (9.0 * n), 1.0: solve_R()}.get(ctx.p)
+    return GaugeBundle(method, ctx, tau, gamma, psi, beta, threshold)
 
 
 def gauge_bundle(method: MethodKind, ctx: NormContext) -> GaugeBundle:
@@ -293,18 +296,13 @@ def solve_R() -> float:
 
 
 def corollary_threshold(method: MethodKind, ctx: NormContext) -> float:
-    """Ready-made sufficient threshold on E_f(x0) from the corollaries.
-
-    Covered pairs: Ehrlich for any p (1/(2a+2)); Dochev-Byrnev/Tanabe at
-    p = inf (4/(9n)) and at p = 1 (the constant R = 0.2636...).
+    """Ready-made sufficient threshold on E_f(x0) from the corollaries,
+    read from gauge_bundle(method, ctx).  Covered pairs: Ehrlich for any p
+    (1/(2a+2)); Dochev-Byrnev/Tanabe at p = inf (4/(9n)) and at p = 1 (the
+    constant R = 0.2636...); any other pair raises UnsupportedCombination.
     """
-    if method is MethodKind.EHRLICH:
-        return 1.0 / (2.0 * ctx.a + 2.0)
-    if method in (MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE):
-        if math.isinf(ctx.p):
-            return 4.0 / (9.0 * ctx.n)
-        if ctx.p == 1:
-            return solve_R()
+    threshold = gauge_bundle(method, ctx).threshold
+    if threshold is None:
         raise UnsupportedCombination(
-            f"no corollary threshold for Dochev-Byrnev with p = {ctx.p}")
-    raise UnsupportedCombination("no corollary threshold for Weierstrass")
+            f"no corollary threshold for the method {method.value!r} with p = {ctx.p}")
+    return threshold

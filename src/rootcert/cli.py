@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import certify_initial, corollary_threshold, gauge_bundle, inclusion_disks
-from .errors import NotCertified, RootCertError, UnsupportedCombination
+from .certify import certify_initial, gauge_bundle, inclusion_disks
+from .errors import NotCertified, RootCertError
 from .iterations import MethodKind
 from .measures import norm_context
 from .polynomials import Polynomial
@@ -197,14 +197,11 @@ def _cmd_thresholds(args) -> tuple:
     rows = []
     for method in (MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV):
         for p in (1.0, 2.0, math.inf):
-            ctx = norm_context(args.n, p)
-            try:
-                value = corollary_threshold(method, ctx)
-            except UnsupportedCombination:
-                continue
-            rows.append({"method": method.value,
-                         "p": "inf" if math.isinf(p) else p,
-                         "threshold": value})
+            value = gauge_bundle(method, norm_context(args.n, p)).threshold
+            if value is not None:
+                rows.append({"method": method.value,
+                             "p": "inf" if math.isinf(p) else p,
+                             "threshold": value})
     return 0, {"n": args.n, "thresholds": rows}, lambda: [
         f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}"
         for r in rows]

@@ -78,10 +78,13 @@ def norm_context(n: int, p: float) -> NormContext:
 
 def p_norm(v, p: float) -> float:
     """p-norm of a nonnegative real vector, rescaled by the maximum to
-    avoid overflow for large p; inf where an entry is inf."""
+    avoid overflow for large p; inf where an entry is inf.  Anything but a
+    vector of entries >= 0 (NaN aside) raises ValueError."""
     v, p = np.asarray(v, dtype=float), _exponent(p)
-    if v.size == 0:
+    if v.shape == (0,):
         return 0.0
+    if v.ndim != 1 or v.min() < 0.0:
+        raise ValueError(f"p_norm needs a vector of entries >= 0, got shape {v.shape}")
     m = float(np.max(v))
     if m == 0.0 or math.isinf(m) or math.isinf(p):
         return m

@@ -524,8 +524,69 @@ class TestDisks:
                 assert type(d.center) is complex
                 assert type(d.radius) is float
 
+    def test_disjoint_at_is_false_unless_strict(self):
+        b = gauge_bundle(MethodKind.EHRLICH, CTX2)
+        m = measure(F, [0.6, -0.6], CTX2)
+        unissued = certificate_at(b, m)
+        assert not unissued.issued and disjoint_at(unissued, m) is False
+        # radii 1e-3 at points 4 apart: only strictness decides the answer
+        m, rho = measure(F, X, CTX2), np.array([1e-3, 1e-3])
+        edge = rootcert.Certificate(b, m.E, phi0=1.0, theta=0.5, rho=rho)
+        assert edge.issued and not edge.strict
+        assert disjoint_at(edge, m) is False
+        assert disjoint_at(dataclasses.replace(edge, phi0=0.5), m) is True
+
+
+THRESHOLD_NS = [*range(2, 130), 256, 512, 1024]
+CERTIFIABLE = [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE]
+
+
+def _corollary(method, ctx):
+    """The corollaries' thresholds in closed form: None where none covers
+    (method, p)."""
+    if method is MethodKind.EHRLICH:
+        return 1.0 / (2.0 * ctx.a + 2.0)
+    if math.isinf(ctx.p):
+        return 4.0 / (9.0 * ctx.n)
+    return solve_R() if ctx.p == 1 else None
+
 
 class TestThresholds:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+    @pytest.mark.parametrize("method", CERTIFIABLE, ids=lambda m: m.value)
+    def test_bundle_threshold_is_the_corollary_threshold(self, method, p):
+        for n in THRESHOLD_NS:
+            ctx = norm_context(n, p)
+            threshold, want = gauge_bundle(method, ctx).threshold, _corollary(method, ctx)
+            if want is None:
+                assert threshold is None
+                with pytest.raises(UnsupportedCombination):
+                    corollary_threshold(method, ctx)
+            else:
+                assert type(threshold) is float and threshold == want, n
+                assert corollary_threshold(method, ctx) == threshold
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+    @pytest.mark.parametrize("method", CERTIFIABLE, ids=lambda m: m.value)
+    def test_threshold_lies_where_phi_is_at_most_1(self, method, p):
+        for n in THRESHOLD_NS:
+            bundle = gauge_bundle(method, norm_context(n, p))
+            if bundle.threshold is not None:
+                assert bundle.threshold < bundle.tau, n
+                assert bundle.phi(bundle.threshold) <= 1.0, n
+
+    @pytest.mark.parametrize("method, ctx, name", [
+        ("ehrlich", CTX2, "'ehrlich'"),
+        (None, CTX2, "method None"),
+        (MethodKind.WEIERSTRASS, CTX2, "'weierstrass'"),
+        (MethodKind.DOCHEV_BYRNEV, norm_context(3, 2), "'dochev-byrnev' with p = 2.0"),
+        (MethodKind.TANABE, norm_context(3, 1.5), "'tanabe' with p = 1.5"),
+    ], ids=["string", "None", "weierstrass", "dochev-byrnev-p2", "tanabe-p1.5"])
+    def test_rejected_method_is_named(self, method, ctx, name):
+        with pytest.raises(UnsupportedCombination) as exc:
+            corollary_threshold(method, ctx)
+        assert name in str(exc.value)
+
     def test_ehrlich_n5(self):
         assert corollary_threshold(MethodKind.EHRLICH,
                                    norm_context(5, INF)) == pytest.approx(0.1)

@@ -290,6 +290,19 @@ def test_p_norm_takes_norm_contexts_exponent_rule(p):
         p_norm([1.0, 2.0], p)
 
 
+@pytest.mark.parametrize("p", [1, 2, INF])
+@pytest.mark.parametrize("v", [[1, -5], [-1], [1.0, -INF], [[1, 2], [3, 4]]],
+                         ids=["negative-entry", "all-negative", "minus-inf", "matrix"])
+def test_p_norm_takes_only_a_vector_of_entries_at_least_0(v, p):
+    with pytest.raises(ValueError, match="p_norm needs a vector of entries >= 0"):
+        p_norm(v, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, INF])
+def test_p_norm_of_a_nan_entry_is_nan(p):
+    assert math.isnan(p_norm([1.0, np.nan], p))
+
+
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("p", [1, 2, INF])
 def test_sigma_bounded_by_a_times_e(seed, p):

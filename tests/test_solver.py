@@ -445,6 +445,22 @@ def test_no_final_certificate_unless_x0_certified(method, start, require):
     assert r.disks == [] and r.disjoint is False
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("start, cfg, ended", [
+    ([2.0, -2.0], SolveConfig(), lambda r: r.converged),
+    ([2.0, -2.0], SolveConfig(max_iter=1), lambda r: r.iterations == 1 and not r.converged),
+    ([0.6, -0.6], SolveConfig(), lambda r: not r.certificate.issued),
+    ([1e300, -1e300], SolveConfig(require_certificate=False),
+     lambda r: not math.isfinite(r.trace[-1].E)),
+    ([2.0, -2.0], SolveConfig(method=MethodKind.WEIERSTRASS, require_certificate=False),
+     lambda r: r.certificate is None and r.converged),
+], ids=["converged", "max_iter", "abort", "non-finite-E", "weierstrass"])
+def test_final_is_the_last_iterate_on_every_ending(start, cfg, ended):
+    r = solve(F, start, cfg)
+    assert ended(r)
+    assert r.final is r.trace[-1].x
+
+
 def test_solve_builds_no_disks(monkeypatch):
     # solve decides the certificates; the disks and the disjointness test
     # run once each time the result is asked for them
