@@ -46,18 +46,22 @@ def _finite_or_none(v: float):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verified initial-condition record: E0 = E_f(x0), phi0 = phi(E0)
-    (inf where none can issue), and theta = psi(E0) and the radii rho where
-    issued (else NaN and None).  issued, strict, lambda and the order are
-    read from phi0: issued means phi0 <= 1; strict means phi0 < 1, which
-    licenses cubic order and disk disjointness.
+    """Verified initial-condition record of the point x0 measured in at:
+    E0 = at.E, phi0 = phi(E0) (inf where none can issue), and theta = psi(E0)
+    and the radii rho where issued (else NaN and None).  issued, strict,
+    lambda and the order are read from phi0: issued means phi0 <= 1; strict
+    means phi0 < 1, which licenses cubic order and disk disjointness.
     """
 
     bundle: GaugeBundle = field(repr=False)  # the gauge functions it was issued under
-    E0: float
+    at: Measurement = field(repr=False)  # the point it was decided at, with W, d and E
     phi0: float
     theta: float
     rho: Optional[np.ndarray]
+
+    @property
+    def E0(self) -> float:
+        return self.at.E
 
     @property
     def issued(self) -> bool:
@@ -168,9 +172,9 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
     except (OverflowError, ZeroDivisionError):
         pass  # phi0 stays inf, so nothing is issued
     if not phi0 <= 1.0:
-        return Certificate(bundle, m.E, phi0, theta=math.nan, rho=None)
+        return Certificate(bundle, m, phi0, theta=math.nan, rho=None)
     rho = bundle.gamma(m.E) / (1.0 - beta0) * np.abs(m.w)
-    return Certificate(bundle, m.E, phi0, theta=psi0, rho=rho)
+    return Certificate(bundle, m, phi0, theta=psi0, rho=rho)
 
 
 def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
@@ -231,13 +235,12 @@ def a_posteriori_bound_1(f: Polynomial, xk, bundle: GaugeBundle) -> np.ndarray:
 
 def a_posteriori_bound_2(f: Polynomial, xk, xk1, bundle: GaugeBundle) -> np.ndarray:
     """Second a posteriori estimate, bounding the error at xk1 = T(xk)."""
-    m = measure(f, xk, bundle.ctx)
-    cert = _issued(certificate_at(bundle, m), "a posteriori bound")
+    cert = _issued(certify_initial(f, xk, bundle), "a posteriori bound")
     ek1 = e_measure(f, xk1, bundle.ctx)
     if not ek1 < bundle.tau:
         raise NotCertified(f"conditions fail at xk1 (E = {ek1:.6g})")
     factor = cert.theta * cert.lam / (1.0 - cert.theta * cert.lam ** 3)
-    return factor * bundle.gamma(ek1) * np.abs(m.w)
+    return factor * bundle.gamma(ek1) * np.abs(cert.at.w)
 
 
 def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
@@ -246,28 +249,28 @@ def w_contraction_bound(cert: Certificate, wk_norm, k: int) -> np.ndarray:
     return cert.theta * lam_r * wk_norm
 
 
-def disjoint_at(cert: Certificate, m: Measurement) -> bool:
+def disjoint_at(cert: Certificate) -> bool:
     """True when cert is strict and its radii r keep |x_i - x_j| > r_i + r_j, i != j.
 
     |x_i - x_j| >= d_i and rounded addition is monotone, so r_i + max r <
-    d_i for every i settles it in O(n) from m.d; only where that fails
-    are the pairwise distances formed from m.x.  Both give the same answer.
+    d_i for every i settles it in O(n) from cert.at.d; only where that fails
+    are the pairwise distances of x = cert.at.x formed.  Both agree.
     """
     if not cert.strict:
         return False
-    if np.all(cert.rho + cert.rho.max() < m.d):
+    if np.all(cert.rho + cert.rho.max() < cert.at.d):
         return True
-    close = np.abs(differences(m.x)) <= cert.rho[:, None] + cert.rho[None, :]
+    close = np.abs(differences(cert.at.x)) <= cert.rho[:, None] + cert.rho[None, :]
     np.fill_diagonal(close, False)
     return not np.any(close)
 
 
-def disks_at(cert: Certificate, m: Measurement) -> list:
-    """Inclusion disks centred at the point m.x, from its measurement m
-    and its issued certificate cert, radius rho_i each; see
-    inclusion_disks, and disjoint_at for their disjointness."""
+def disks_at(cert: Certificate) -> list:
+    """Inclusion disks centred at the point cert.at.x of the issued
+    certificate cert, radius rho_i each; see inclusion_disks, and
+    disjoint_at for their disjointness."""
     radii = _issued(cert, "inclusion disks").rho
-    return [Disk(c, r) for c, r in zip(m.x.tolist(), radii.tolist())]
+    return [Disk(c, r) for c, r in zip(cert.at.x.tolist(), radii.tolist())]
 
 
 def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
@@ -278,9 +281,8 @@ def inclusion_disks(f: Polynomial, xk, bundle: GaugeBundle):
     and braces.  It costs O(n) from the separations of the measurement at
     xk, and forms the pairwise distances only when that fails.
     """
-    m = measure(f, xk, bundle.ctx)
-    cert = certificate_at(bundle, m)
-    return disks_at(cert, m), disjoint_at(cert, m)
+    cert = certify_initial(f, xk, bundle)
+    return disks_at(cert), disjoint_at(cert)
 
 
 def solve_R() -> float:

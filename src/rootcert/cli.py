@@ -1,20 +1,20 @@
 """Command-line front-end.
 
-Subcommands: solve, certify, disks, thresholds.  Polynomials come either
-from --coeffs (comma-separated reals, leading-first) or from a JSON file
-with schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]};
-solve checks its flags before any input; --batch DIR solves each JSON file
-of DIR with one SolveConfig, as --input would.  solve --seed rotates the
-default starting points and conflicts with --guess; a guess in an --input
-file takes precedence over it.  --json and --batch print the payload as one
-line from json's C encoder (an indent selects the pure-Python one; python
--m json.tool indents).  Each subcommand returns (exit status, payload,
-render); render() gives the text lines, built only when printed.  _attempt
-turns a failure into a status, one stderr line and an empty render.
-Requests run with numpy's floating-point warnings off, so stderr carries
-only those lines.  Exit status: 0 on success, 2 on an unissued certificate
-in require-certificate mode, 1 on input and usage errors; a batch exits 1
-if any file failed, else 2 if any certificate was not issued.
+Subcommands: solve, certify, disks, thresholds.  Polynomials come either from
+--coeffs (comma-separated reals, leading-first) or from a JSON file with
+schema {"coeffs": [{"re": .., "im": ..}, ...], "guess": [...]}; solve checks
+its flags before any input; --batch DIR solves each JSON file of DIR with one
+SolveConfig, as --input would.  solve --seed S >= 0 rotates the default
+starting points by one angle per request and conflicts with --guess; a guess
+in an --input file takes precedence over it.  --json and --batch print the
+payload as one line from json's C encoder (an indent selects the pure-Python
+one; python -m json.tool indents).  Each subcommand returns (exit status,
+payload, render); render() gives the text lines, built only when printed.
+_attempt turns a failure into a status, one stderr line and an empty render.
+Requests run with numpy's floating-point warnings off, so stderr carries only
+those lines.  Exit status: 0 on success, 2 on an unissued certificate in
+require-certificate mode, 1 on input and usage errors; a batch exits 1 if any
+file failed, else 2 if any certificate was not issued.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .certify import certify_initial, gauge_bundle, inclusion_disks
 from .errors import NotCertified, RootCertError
 from .iterations import MethodKind
-from .measures import norm_context
+from .measures import _integer, norm_context
 from .polynomials import Polynomial
 from .solve import SolveConfig, default_init, solve
 
@@ -111,7 +111,7 @@ def _result_to_json(result, disks) -> dict:
 
 
 def _cmd_solve(args) -> tuple:
-    """Build the request's one SolveConfig, then solve its input or batch."""
+    """Build the request's one SolveConfig and rotation, then solve its input or batch."""
     if args.method == MethodKind.WEIERSTRASS.value and not args.no_certificate:
         raise InputError("--method weierstrass has no certificate: add --no-certificate")
     if args.seed is not None and args.guess is not None:
@@ -120,16 +120,14 @@ def _cmd_solve(args) -> tuple:
     cfg = SolveConfig(method=MethodKind(args.method), p=args.p,
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
+    init = default_init
+    if args.seed is not None:
+        rng = np.random.default_rng(_integer("--seed", args.seed, 0))
+        init = functools.partial(default_init, rotation=float(rng.uniform(0, 2 * np.pi)))
 
     def one(path) -> tuple:
         f, guess = _load_request(args, path)
-        if guess is None and args.seed is None:
-            guess = default_init(f)
-        elif guess is None:
-            # default_init, rotated at random
-            rng = np.random.default_rng(args.seed)
-            guess = default_init(f, rotation=float(rng.uniform(0, 2 * np.pi)))
-        result = solve(f, guess, cfg)
+        result = solve(f, init(f) if guess is None else guess, cfg)
         disks = result.disks
         payload = _result_to_json(result, disks)
         return (2 if cfg.require_certificate and not result.certificate.issued else 0,

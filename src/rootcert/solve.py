@@ -59,12 +59,12 @@ class SolveResult:
     @property
     def disks(self) -> List[Disk]:
         c = self.final_certificate
-        return disks_at(c, self.trace[-1]) if c is not None and c.issued else []
+        return disks_at(c) if c is not None and c.issued else []
 
     @property
     def disjoint(self) -> bool:
         c = self.final_certificate
-        return c is not None and disjoint_at(c, self.trace[-1])
+        return c is not None and disjoint_at(c)
 
     @property
     def iterations(self) -> int:

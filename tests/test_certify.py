@@ -154,10 +154,10 @@ class TestCertify:
         np.testing.assert_allclose(cert.rho, [1.0243902, 1.0243902], rtol=1e-6)
 
     def test_certificate_stores_what_certificate_at_decided(self):
-        # issued, strict, lambda and the order are each read from phi0
+        # E0 is read from at; issued, strict, lambda and the order from phi0
         assert [fl.name for fl in dataclasses.fields(rootcert.Certificate)] == [
-            "bundle", "E0", "phi0", "theta", "rho"]
-        for name in ("issued", "strict", "lam", "order"):
+            "bundle", "at", "phi0", "theta", "rho"]
+        for name in ("E0", "issued", "strict", "lam", "order"):
             assert isinstance(getattr(rootcert.Certificate, name), property), name
 
     def test_exact_roots_trivial_certificate(self):
@@ -336,6 +336,26 @@ def test_one_certificate_one_rho(method):
                                   a_posteriori_bound_1(f, res.final, bundle))
 
 
+@pytest.mark.parametrize("reader", [
+    lambda b, x1: inclusion_disks(F, X, b),
+    lambda b, x1: a_posteriori_bound_1(F, X, b),
+    lambda b, x1: a_posteriori_bound_2(F, X, x1, b),
+], ids=["inclusion_disks", "bound_1", "bound_2"])
+def test_readers_of_xk_certify_it_once(reader, monkeypatch):
+    # each reads the one certificate that certify_initial decides at xk, and
+    # nothing else in certify measures a point
+    module = sys.modules["rootcert.certify"]
+    b, x1 = gauge_bundle(MethodKind.EHRLICH, CTX2), ehrlich_step_bs(F, X).image
+    calls = []
+    for name in ("certify_initial", "measure"):
+        def counted(f, x, *args, _name=name, _original=getattr(module, name)):
+            calls.append((_name, np.asarray(x).tolist()))
+            return _original(f, x, *args)
+        monkeypatch.setattr(module, name, counted)
+    reader(b, x1)
+    assert calls == [("certify_initial", X.tolist()), ("measure", X.tolist())]
+
+
 @pytest.mark.parametrize("bound", [a_priori_bound, w_contraction_bound])
 def test_missing_certificate_is_not_certified(bound):
     # a Weierstrass run has no certificate, and a bound from it says so
@@ -502,7 +522,7 @@ class TestDisks:
         # tiny radii pass the O(n) test on d
         m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0)
         cert = certificate_at(b, m)
-        disks, disjoint = disks_at(cert, m), disjoint_at(cert, m)
+        disks, disjoint = disks_at(cert), disjoint_at(cert)
         radii = np.array([d.radius for d in disks])
         if mix == "far":
             # r_i + max r >= d_i for the others: the pairwise test decides
@@ -518,7 +538,7 @@ class TestDisks:
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
         m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0)
         for disks in (inclusion_disks(F, x, b)[0],
-                      disks_at(certificate_at(b, m), m)):
+                      disks_at(certificate_at(b, m))):
             assert [d.center for d in disks] == [2, -2]
             for d in disks:
                 assert type(d.center) is complex
@@ -528,13 +548,13 @@ class TestDisks:
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
         m = measure(F, [0.6, -0.6], CTX2)
         unissued = certificate_at(b, m)
-        assert not unissued.issued and disjoint_at(unissued, m) is False
+        assert not unissued.issued and disjoint_at(unissued) is False
         # radii 1e-3 at points 4 apart: only strictness decides the answer
         m, rho = measure(F, X, CTX2), np.array([1e-3, 1e-3])
-        edge = rootcert.Certificate(b, m.E, phi0=1.0, theta=0.5, rho=rho)
+        edge = rootcert.Certificate(b, m, phi0=1.0, theta=0.5, rho=rho)
         assert edge.issued and not edge.strict
-        assert disjoint_at(edge, m) is False
-        assert disjoint_at(dataclasses.replace(edge, phi0=0.5), m) is True
+        assert disjoint_at(edge) is False
+        assert disjoint_at(dataclasses.replace(edge, phi0=0.5)) is True
 
 
 THRESHOLD_NS = [*range(2, 130), 256, 512, 1024]

@@ -425,6 +425,23 @@ class TestBatch:
         assert seeded["roots"] != unseeded["roots"]
         assert json.loads(out)["a.json"]["roots"] == seeded["roots"]
 
+    def test_seed_drawn_once_per_batch(self, capsys, tmp_path, monkeypatch):
+        # every file without a guess gets the request's one rotation
+        draws = []
+
+        def counted(*args, _original=np.random.default_rng):
+            draws.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for name in "abc":
+            _write_request(tmp_path / f"{name}.json", [1, 0, 0, -1])
+        code, out, _ = run_cli(capsys, "solve", "--batch", str(tmp_path),
+                               "--seed", "5", "--no-certificate")
+        assert code == 0 and draws == [(5,)]
+        roots = [r["roots"] for r in json.loads(out).values()]
+        assert roots[0] == roots[1] == roots[2]
+
     def test_bad_file_reported_and_rest_solved(self, capsys, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({
             "coeffs": [{"re": float(c), "im": 0.0} for c in [1, 0, -1]],
@@ -465,7 +482,7 @@ class TestBatch:
         assert err.startswith("input error: ")
 
     @pytest.mark.parametrize("flag", [
-        ["--max-iter", "0"], ["--p", "0.5"], ["--tol", "nan"]])
+        ["--max-iter", "0"], ["--p", "0.5"], ["--tol", "nan"], ["--seed", "-1"]])
     def test_bad_flag_reported_once_before_any_file(self, capsys, tmp_path, flag):
         # the request's one config is built before the directory is read
         _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
@@ -475,6 +492,14 @@ class TestBatch:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: ")
         assert ".json" not in lines[0]
+
+    def test_bad_seed_named_though_every_file_holds_a_guess(self, capsys, tmp_path):
+        # the seed is checked with the other flags, before any file is read
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path),
+                                 "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "input error: --seed must be an integer >= 0, got -1\n"
 
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))

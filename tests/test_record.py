@@ -232,6 +232,25 @@ def test_record_owns_its_arrays():
     assert _bits(read()) == _bits(want)
 
 
+def test_certificate_at_the_final_iterate_owns_its_measurement():
+    # certify_initial at solve's final iterate reads the record: its at is a
+    # fresh Measurement that shares no array with the trace, and writing
+    # into it, or into the final certificate's, leaves what the record gives
+    f, x0 = _instance(4)
+    bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(f.degree, math.inf))
+    res = solve(f, x0)
+    assert res.final_certificate.issued and res.iterations >= 1
+    want = _bits(a_posteriori_bound_1(f, res.final, bundle))
+    cert = certify_initial(f, res.final, bundle)
+    assert cert.at is not res.trace[-1]
+    traced = [a for m in res.trace for a in (m.x, m.w, m.d)]
+    for mine in (cert.at.x, cert.at.w, cert.at.d):
+        assert not any(np.shares_memory(mine, a) for a in traced)
+    for written in (cert, res.final_certificate):
+        written.at.w[:] = 1.0
+        assert _bits(a_posteriori_bound_1(f, res.final, bundle)) == want
+
+
 def test_record_is_o_n():
     n = 256
     rng = np.random.default_rng(9310)

@@ -426,6 +426,9 @@ def test_final_certificate_is_the_certificate_at_final(n, method, p):
     assert r.certificate.issued and c.issued
     assert c.bundle is r.certificate.bundle
     assert _bits([c.E0, c.phi0, c.theta]) == _bits([want.E0, want.phi0, want.theta])
+    assert c.at is r.trace[-1]
+    for name in ("x", "w", "d", "E"):
+        assert _bits(getattr(c.at, name)) == _bits(getattr(want.at, name)), name
     assert _bits(c.rho) == _bits(want.rho)
     assert _bits(a_posteriori_bound_1(f, r.final, bundle)) == _bits(c.rho)
     disks, disjoint = inclusion_disks(f, r.final, bundle)
@@ -459,6 +462,9 @@ def test_final_is_the_last_iterate_on_every_ending(start, cfg, ended):
     r = solve(F, start, cfg)
     assert ended(r)
     assert r.final is r.trace[-1].x
+    # each certificate holds the measurement it was decided at
+    assert r.certificate is None or r.certificate.at is r.trace[0]
+    assert r.final_certificate is None or r.final_certificate.at is r.trace[-1]
 
 
 def test_solve_builds_no_disks(monkeypatch):
