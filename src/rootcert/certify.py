@@ -44,11 +44,11 @@ def _finite_or_none(v: float):
     return float(v) if math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Verified initial-condition record of the point x0 measured in at:
     E0 = at.E, phi0 = phi(E0) (inf where none can issue), and theta = psi(E0)
-    and the radii rho where issued (else NaN and None).  issued, strict,
+    and the read-only radii rho where issued (else NaN and None).  issued, strict,
     lambda and the order are read from phi0: issued means phi0 <= 1; strict
     means phi0 < 1, which licenses cubic order and disk disjointness.
     """
@@ -174,6 +174,7 @@ def certificate_at(bundle: GaugeBundle, m: Measurement) -> Certificate:
     if not phi0 <= 1.0:
         return Certificate(bundle, m, phi0, theta=math.nan, rho=None)
     rho = bundle.gamma(m.E) / (1.0 - beta0) * np.abs(m.w)
+    rho.setflags(write=False)
     return Certificate(bundle, m, phi0, theta=psi0, rho=rho)
 
 

@@ -31,7 +31,7 @@ class MethodKind(enum.Enum):
     TANABE = "tanabe"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepResult:
     image: np.ndarray
     corrections: np.ndarray  # W_f(x) at the input point

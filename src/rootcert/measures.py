@@ -13,7 +13,7 @@ Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
 the point.  ``measure``, behind every public function of a point but
 ``solve`` and the steps, reads it first and on a hit returns the bits a
-fresh measurement gives, in fresh arrays.
+fresh measurement gives, sharing the trace's read-only W and d.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def differences(x) -> np.ndarray:
     return diff
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """x, where its entries are all finite, as every point must be."""
+def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
+    """x where all entries are finite, as a point's must be; else ValueError(error)."""
     if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
+        raise ValueError(error)
     return x
 
 
@@ -133,10 +133,10 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return ratio.sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """A point vector x (complex128) with W_f(x), d(x) and E_f(x) =
-    ||W_f(x) / d(x)||_p."""
+    ||W_f(x) / d(x)||_p; x, w and d are read-only."""
 
     x: np.ndarray
     w: np.ndarray
@@ -155,6 +155,8 @@ def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
 
 
 def _measurement(x, w, d, ctx: NormContext) -> Measurement:
+    for a in (x, w, d):
+        a.setflags(write=False)
     return Measurement(x=x, w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p))
 
 
@@ -172,28 +174,27 @@ def _measured(f: Polynomial, x, ctx: NormContext):
 
 
 # {(f.coeffs bytes, point bytes): (W, d)} at x0 and the final iterate of
-# the last solve, W and d its own copies.  Only remember writes it, by one
-# assignment, so a reader's one lookup sees one solve or another.
+# the last solve, the trace's read-only arrays.  Only remember writes it,
+# by one assignment, so a reader's one lookup sees one solve or another.
 _record: dict = {}
 
 
 def remember(f: Polynomial, *measurements: Measurement) -> None:
-    """Replace the record with copies of W and d of each m, keyed by bytes."""
+    """Replace the record with W and d of each m, keyed by bytes."""
     global _record
-    _record = {(f.coeffs.tobytes(), m.x.tobytes()): (m.w.copy(), m.d.copy())
-               for m in measurements}
+    _record = {(f.coeffs.tobytes(), m.x.tobytes()): (m.w, m.d) for m in measurements}
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The Measurement of W, d and E at x.  Where the last solve measured
-    x (its x0 or its final iterate) copies of W and d come from the record
-    and E is recomputed in O(n); elsewhere x is measured afresh.  Both
-    give the same bits.  x passes _checked, so m.x is a copy of it."""
+    x (its x0 or its final iterate) W and d come from the record and E is
+    recomputed in O(n); elsewhere x is measured afresh.  Both give the
+    same bits.  x passes _checked, so m.x is a copy of it."""
     x = _checked(f, x, ctx)
     hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
     if hit is None:
         return _measured(f, x, ctx)[0]
-    return _measurement(x, hit[0].copy(), hit[1].copy(), ctx)
+    return _measurement(x, *hit, ctx)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:

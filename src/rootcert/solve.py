@@ -7,15 +7,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import (Measurement, _checked, _exponent, _integer, _measured, _real,
-                       norm_context, remember)
+from .measures import (Measurement, _checked, _exponent, _finite, _integer, _measured,
+                       _real, norm_context, remember)
 from .polynomials import Polynomial
 
 
@@ -43,14 +43,14 @@ class SolveConfig:
                                          "set require_certificate=False")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolveResult:
-    """trace is the Measurement of each iterate, x0's first: x_k, W_k, d_k
-    and E_k are trace[k].x, .w, .d and .E, and final is trace[-1].x.
-    final_certificate is the certificate at trace[-1], None unless certificate
-    issued; disks, disjoint (read from it) and order_estimate are computed when read."""
+    """A frozen value.  trace is the tuple of each iterate's Measurement, x0's
+    first: x_k, W_k, d_k and E_k are trace[k].x, .w, .d and .E; final is
+    trace[-1].x, and final_certificate the certificate at trace[-1], None unless
+    certificate issued; disks, disjoint and order_estimate are computed when read."""
 
-    trace: List[Measurement]
+    trace: Tuple[Measurement, ...]
     certificate: Optional[Certificate]
     final_certificate: Optional[Certificate]
     final: np.ndarray
@@ -79,16 +79,17 @@ def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
     """Aberth-style starting points: n points equally spaced on a circle
     centered at the coefficient centroid -C_1/(n C_0), with radius
     1 + max_i |C_i/C_0|**(1/i) and a rotation to break symmetry.
-    Pairwise distinct by construction."""
+    Pairwise distinct by construction; a ValueError where not finite."""
     n = f.degree
     c = f.coeffs / f.coeffs[0]
     center = -c[1] / n
     radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
     angles = 2.0 * np.pi * np.arange(n) / n + rotation
-    return center + radius * np.exp(1j * angles)
+    return _finite(center + radius * np.exp(1j * angles),
+                   "default_init: the starting circle is not finite for these coefficients")
 
 
-def estimate_order(trace: List[Measurement]) -> Optional[float]:
+def estimate_order(trace: Sequence[Measurement]) -> Optional[float]:
     """Median empirical convergence order from a trace of measurements.
 
     Uses e_k = max_i |W_i(x^(k))|, read from trace[k].w, and the ratio
@@ -115,8 +116,8 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     iterate; the disks and the order estimate are read only when asked for.
     The run stops unconverged at the first iterate whose E is not finite.
 
-    On return, the abort at x0 included, copies of W and d at x0 and at the
-    final iterate replace the record in ``measures`` that ``measure`` (behind
+    On return, the abort at x0 included, W and d at x0 and at the final
+    iterate replace the record in ``measures`` that ``measure`` (behind
     every public function of a point but solve and the steps) reads instead
     of measuring again; solve only writes it, so a repeated request is
     measured again.  x0 is checked and copied as every function of a point
@@ -127,7 +128,6 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
               else gauge_bundle(cfg.method, ctx))
 
     tol = cfg.w_tol * max(1.0, float(np.max(np.abs(f.coeffs))))
-    step = _STEP_MAPS[cfg.method]
     trace = []
 
     m, diff = _measured(f, _checked(f, x0, ctx), ctx)
@@ -139,9 +139,9 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         if (converged or aborted or not math.isfinite(m.E)
                 or len(trace) > cfg.max_iter):
             break
-        m, diff = _measured(f, step(m, diff), ctx)
+        m, diff = _measured(f, _STEP_MAPS[cfg.method](m, diff), ctx)
 
     remember(f, trace[0], m)
     at_final = certificate_at(bundle, m) if certificate and certificate.issued else None
-    return SolveResult(trace=trace, certificate=certificate, final_certificate=at_final,
+    return SolveResult(trace=tuple(trace), certificate=certificate, final_certificate=at_final,
                        final=m.x, converged=converged and not aborted)

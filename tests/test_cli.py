@@ -308,6 +308,29 @@ class TestInputHandling:
         assert seeded == run_cli(capsys, *one, "--json")
         assert seeded[0] == 0 and seeded[2] == ""
 
+    def test_guess_flag_replaces_the_file_guess(self, capsys, tmp_path):
+        # the file's guess does not certify (exit 2); the flag's does
+        _write_request(tmp_path / "a.json", [1, 0, -1], [0.6, -0.6])
+        code, data, err = run_json(capsys, "solve", "--input", str(tmp_path / "a.json"),
+                                   "--guess", "2,-2")
+        assert (code, err) == (0, "")
+        assert data["certificate"]["issued"] is True
+
+    def test_coeffs_flag_keeps_the_file_guess(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        code, out, err = run_cli(capsys, "solve", "--input", str(tmp_path / "a.json"),
+                                 "--coeffs", "1,0,0,-1")
+        assert (code, out) == (1, "")
+        assert err == "input error: 2 points and n = 3 for degree 3\n"
+
+    def test_non_finite_default_start_is_input_error(self, capsys):
+        # main runs each request with numpy's warnings off, so the overflow
+        # in default_init's division leaves only the one error line
+        code, out, err = run_cli(capsys, "solve", "--coeffs", "1e-320,1,-1")
+        assert (code, out) == (1, "")
+        assert err == ("input error: default_init: the starting circle is not "
+                       "finite for these coefficients\n")
+
     def test_non_finite_guess_in_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"coeffs": [{"re": 1, "im": 0}, {"re": 0, "im": 0}, '

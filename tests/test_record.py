@@ -2,7 +2,8 @@
 
 measure reads it before it measures, and with it every public function of
 a point but solve and the three steps; a hit must give the bits a fresh
-measurement gives, and anything else must miss.
+measurement gives, and anything else must miss.  The record holds the
+trace's own W and d, which are read-only, so no write can change a hit.
 """
 
 import dataclasses
@@ -201,20 +202,25 @@ def test_misses(case, counts):
     assert counts["evaluate"] == 1
 
 
-def test_hits_return_fresh_arrays():
+def _assert_read_only(*arrays):
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 1.0
+
+
+def test_hits_share_the_trace_read_only():
     f, x0 = _instance(3)
     res = solve(f, x0)
     w0, wf = weierstrass_correction(f, x0), weierstrass_correction(f, res.final)
-    want = (w0.copy(), wf.copy())
-    w0[:] = 0.0
-    wf[:] = 0.0
-    got = (weierstrass_correction(f, x0), weierstrass_correction(f, res.final))
-    assert _bits(got) == _bits(want)
+    assert w0 is res.trace[0].w and wf is res.trace[-1].w
+    want = _bits((w0, wf))
+    _assert_read_only(w0, wf)
+    assert _bits((weierstrass_correction(f, x0),
+                  weierstrass_correction(f, res.final))) == want
 
 
-def test_record_owns_its_arrays():
-    # the trace exposes W and d of x0 and the final iterate; writing into
-    # them must leave what the record gives
+def test_trace_arrays_are_read_only():
+    # the record shares W and d with the trace, so neither can change a hit
     f, x0 = _instance(4)
     bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(f.degree, math.inf))
     res = solve(f, x0)
@@ -225,30 +231,22 @@ def test_record_owns_its_arrays():
                 a_posteriori_bound_1(f, res.final, bundle),
                 inclusion_disks(f, res.final, bundle))
 
-    want = read()
-    res.trace[0].w[:] = 1.0
-    res.trace[-1].w[:] = 1.0
-    res.trace[-1].d[:] = 1e-300
-    assert _bits(read()) == _bits(want)
+    want = _bits(read())
+    _assert_read_only(res.trace[0].w, res.trace[-1].w, res.trace[-1].d)
+    assert _bits(read()) == want
 
 
-def test_certificate_at_the_final_iterate_owns_its_measurement():
-    # certify_initial at solve's final iterate reads the record: its at is a
-    # fresh Measurement that shares no array with the trace, and writing
-    # into it, or into the final certificate's, leaves what the record gives
+def test_certificate_at_the_final_iterate_is_read_only():
+    # certify_initial at solve's final iterate reads the record; neither its
+    # certificate nor the final certificate can be written into
     f, x0 = _instance(4)
     bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(f.degree, math.inf))
     res = solve(f, x0)
     assert res.final_certificate.issued and res.iterations >= 1
     want = _bits(a_posteriori_bound_1(f, res.final, bundle))
-    cert = certify_initial(f, res.final, bundle)
-    assert cert.at is not res.trace[-1]
-    traced = [a for m in res.trace for a in (m.x, m.w, m.d)]
-    for mine in (cert.at.x, cert.at.w, cert.at.d):
-        assert not any(np.shares_memory(mine, a) for a in traced)
-    for written in (cert, res.final_certificate):
-        written.at.w[:] = 1.0
-        assert _bits(a_posteriori_bound_1(f, res.final, bundle)) == want
+    for cert in (certify_initial(f, res.final, bundle), res.final_certificate):
+        _assert_read_only(cert.at.x, cert.at.w, cert.at.d, cert.rho)
+    assert _bits(a_posteriori_bound_1(f, res.final, bundle)) == want
 
 
 def test_record_is_o_n():

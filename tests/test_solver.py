@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ class TestDefaultInit:
     def test_rotation_changes_points(self):
         assert not np.allclose(default_init(F, rotation=0.4),
                                default_init(F, rotation=1.1))
+
+    def test_non_finite_circle_is_a_value_error(self):
+        # C_1/C_0 = 1/1e-320 overflows; numpy's overflow and invalid-value
+        # warnings from that division are silenced here, so the error shows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^default_init: the starting circle is not finite"):
+            default_init(Polynomial([1e-320, 1, -1]))
 
 
 def _synthetic_trace(w_norms):
@@ -406,6 +414,51 @@ def test_solve_result_fields():
         "trace", "certificate", "final_certificate", "final", "converged"]
     assert isinstance(SolveResult.disks, property)
     assert isinstance(SolveResult.disjoint, property)
+
+
+def _certified_solve():
+    f, x0 = known_instance(well_separated_roots(6, np.random.default_rng(9500)), 0.01, 0)
+    r = solve(f, x0)
+    assert r.final_certificate.issued and r.iterations >= 1
+    return f, x0, r
+
+
+def test_issued_disks_cannot_be_edited():
+    # a disk's centre is final[i] and its radius final_certificate.rho[i]
+    r = _certified_solve()[2]
+    disks = r.disks
+    for edited in (r.final, r.final_certificate.rho):
+        with pytest.raises(ValueError, match="read-only"):
+            edited[0] = 5.0
+    assert r.disks == disks
+
+
+def test_result_is_frozen_with_a_tuple_trace():
+    r = _certified_solve()[2]
+    assert isinstance(r.trace, tuple)
+    for fl in dataclasses.fields(SolveResult):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, fl.name, getattr(r, fl.name))
+
+
+def test_results_compare_by_identity():
+    f, x0, r = _certified_solve()
+    s = solve(f, x0)
+    steps = ehrlich_step_bs(f, x0), ehrlich_step_bs(f, x0)
+    for a, b in ((r, s), (r.trace[0], s.trace[0]), (r.certificate, s.certificate), steps):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_replace_builds_a_result_and_pickle_refuses():
+    # the benchmark's self-check corrupts a result through
+    # dataclasses.replace; the gauges are closures, so no result pickles
+    r = _certified_solve()[2]
+    moved = r.final + 1.0
+    assert dataclasses.replace(r, final=moved).final is moved
+    assert dataclasses.replace(r, converged=False).converged is False
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(r)
 
 
 def _bits(v):
