@@ -113,16 +113,20 @@ def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
     return x
 
 
-def separation(x, diff: np.ndarray | None = None) -> np.ndarray:
-    """d_i(x) = min over j != i of |x_i - x_j|, read from diff =
-    differences(x) when given, else from x, checked finite; zero entries
-    signal coinciding components and are left for the caller to reject."""
+def _separations(diff: np.ndarray) -> np.ndarray:
+    """d_i = min over j != i of |x_i - x_j|, reduced from diff = differences(x)."""
+    gaps = np.abs(diff)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=0)
+
+
+def separation(x) -> np.ndarray:
+    """d_i(x) = min over j != i of |x_i - x_j| for x checked finite; a zero d_i
+    (coinciding components) is left for the caller to reject."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
-    gaps = np.abs(differences(_finite(x)) if diff is None else diff)
-    np.fill_diagonal(gaps, np.inf)
-    return gaps.min(axis=0)
+    return _separations(differences(_finite(x)))
 
 
 def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -165,10 +169,9 @@ def _measured(f: Polynomial, x, ctx: NormContext):
     differences(x) for the step map that follows.  A zero d_i means
     coinciding components and raises NonDistinctComponents."""
     diff = differences(x)
-    d = separation(x, diff)
+    d = _separations(diff)
     if np.any(d == 0.0):
-        raise NonDistinctComponents(
-            f"components coincide (index {int(np.argmin(d))})")
+        raise NonDistinctComponents(f"components coincide (index {int(np.argmin(d))})")
     w = evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0))
     return _measurement(x, w, d, ctx), diff
 

@@ -81,12 +81,13 @@ def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
     1 + max_i |C_i/C_0|**(1/i) and a rotation to break symmetry.
     Pairwise distinct by construction; a ValueError where not finite."""
     n = f.degree
-    c = f.coeffs / f.coeffs[0]
-    center = -c[1] / n
-    radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
-    angles = 2.0 * np.pi * np.arange(n) / n + rotation
-    return _finite(center + radius * np.exp(1j * angles),
-                   "default_init: the starting circle is not finite for these coefficients")
+    with np.errstate(all="ignore"):  # an overflow is reported by the ValueError
+        c = f.coeffs / f.coeffs[0]
+        center = -c[1] / n
+        radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
+        angles = 2.0 * np.pi * np.arange(n) / n + rotation
+        return _finite(center + radius * np.exp(1j * angles),
+                       "default_init: the starting circle is not finite for these coefficients")
 
 
 def estimate_order(trace: Sequence[Measurement]) -> Optional[float]:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from rootcert import (
     w_contraction_bound,
     weierstrass_correction,
 )
+from rootcert import certify
 from rootcert.certify import _K_CAP, certificate_at, disjoint_at, disks_at
 from conftest import roots_of_unity_just_below_tau, well_separated_roots
 from oracle import dochev_byrnev_step
@@ -139,6 +141,62 @@ class TestGaugeBundles:
         ts = np.linspace(1e-6, b.tau * 0.999, 500)
         ratio = np.array([b.beta(t) / t**2 for t in ts])
         assert np.all(np.diff(ratio) >= -1e-13 * ratio[:-1])
+
+
+_DB_FORMULAS = (certify._dochev_byrnev_gamma, certify._dochev_byrnev_psi,
+                certify._dochev_byrnev_beta)
+FORMULAS = {
+    MethodKind.EHRLICH: (certify._ehrlich_gamma, certify._ehrlich_psi, certify._ehrlich_beta),
+    MethodKind.DOCHEV_BYRNEV: _DB_FORMULAS,
+    MethodKind.TANABE: _DB_FORMULAS,
+}
+
+
+class TestExactGauges:
+    """The module's gauge formulas called with Fractions and the integer a
+    and b of p = inf (n - 1 and 2) and of p = 1 (1 and 1): what criterion 9
+    checks in floats, decided with no rounding."""
+
+    @pytest.mark.parametrize("p", [1, INF], ids=["1", "inf"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 256, 1024])
+    @pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV],
+                             ids=lambda m: m.value)
+    def test_properties_hold_exactly(self, method, n, p):
+        gamma, psi, beta = FORMULAS[method]
+        bundle = gauge_bundle(method, norm_context(n, p))
+        a, b = (n - 1, 2) if p == INF else (1, 1)
+        assert (bundle.ctx.a, bundle.ctx.b) == (a, b)
+
+        def inside(t):
+            # t < tau exactly, for both methods and t >= 0
+            return a * t < 1 and psi(a, b, n, t) > 0
+
+        def phi(t):
+            return beta(a, b, n, t) / psi(a, b, n, t)
+
+        tau = Fraction(bundle.tau)
+        # the float tau lies within 2**-50 of the end of the exact domain
+        assert inside(tau * (1 - Fraction(1, 2 ** 50)))
+        assert not inside(tau * (1 + Fraction(1, 2 ** 50)))
+        grid = [tau * Fraction(k, 16) for k in range(16)]
+        assert all(inside(t) for t in grid)  # so psi > 0 on the grid
+        values = [phi(t) for t in grid]
+        assert values[0] == 0 and all(u < v for u, v in zip(values, values[1:]))
+        assert all(psi(a, b, n, t) == 1 - b * t * gamma(a, b, n, t) for t in grid)
+        threshold = Fraction(bundle.threshold)
+        assert inside(threshold) and phi(threshold) <= 1
+
+    @pytest.mark.parametrize("p", [1, 2, INF], ids=["1", "2", "inf"])
+    @pytest.mark.parametrize("method", FORMULAS, ids=lambda m: m.value)
+    def test_float_calls_are_the_bundles_bitwise(self, method, p):
+        rng = np.random.default_rng(8800)
+        for n in (2, 5, 64, 1024):
+            bundle = gauge_bundle(method, norm_context(n, p))
+            a, b = bundle.ctx.a, bundle.ctx.b
+            for t in rng.uniform(0, 0.9 * bundle.tau, 25).tolist():
+                for formula, bound in zip(FORMULAS[method],
+                                          (bundle.gamma, bundle.psi, bundle.beta)):
+                    assert formula(a, b, n, t).hex() == bound(t).hex()
 
 
 class TestCertify:

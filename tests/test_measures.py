@@ -88,6 +88,13 @@ def test_separation_examples():
     np.testing.assert_array_equal(separation([0, 0]), [0, 0])
 
 
+def test_separation_takes_only_x():
+    # a caller's D could disagree with x: [0, 1, 3] read from the
+    # differences of [0, 10, 30] gave [10, 10, 20]
+    with pytest.raises(TypeError):
+        separation([0, 1, 3], differences([0, 10, 30]))
+
+
 def test_separation_needs_two_components():
     with pytest.raises(ValueError):
         separation([1.0])
@@ -191,12 +198,14 @@ W_ALONE = {
 
 
 def _count_separations(monkeypatch) -> list:
+    # measure reduces d from its own D in measures._separations, which
+    # the public separation(x) also calls
     calls = []
 
-    def counted(*args, _original=measures.separation):
+    def counted(*args, _original=measures._separations):
         calls.append(args)
         return _original(*args)
-    monkeypatch.setattr(measures, "separation", counted)
+    monkeypatch.setattr(measures, "_separations", counted)
     return calls
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from rootcert import (
     norm_context,
     weierstrass_step,
 )
-from conftest import random_distinct_points, random_monic
+from conftest import random_distinct_points, random_monic, roots_of_unity_just_below_tau
 from oracle import (
     SingularJacobian,
+    exact_certificate,
+    exact_measure,
     known_instance,
     match_roots,
     newton_viete_step,
@@ -154,3 +158,105 @@ class TestMatchRoots:
             m = match_roots(found, truth)
             assert m.permutation == best_perm
             assert m.max_abs_error == best_err
+
+
+def _direct_measure(f, x):
+    """|W_i|**2 and d_i**2 in Fraction complex arithmetic, W_i as a quotient."""
+    def fr(z):
+        return Fraction(z.real), Fraction(z.imag)
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    c = [fr(complex(v)) for v in f.coeffs]
+    xs = [fr(complex(v)) for v in x]
+    w2, d2 = [], []
+    for i, xi in enumerate(xs):
+        val = c[0]
+        for ck in c[1:]:
+            val = mul(val, xi)
+            val = val[0] + ck[0], val[1] + ck[1]
+        den = c[0]
+        for j, xj in enumerate(xs):
+            if j != i:
+                den = mul(den, (xi[0] - xj[0], xi[1] - xj[1]))
+        m = den[0] ** 2 + den[1] ** 2
+        w = ((val[0] * den[0] + val[1] * den[1]) / m, (val[1] * den[0] - val[0] * den[1]) / m)
+        w2.append(w[0] ** 2 + w[1] ** 2)
+        d2.append(min((xi[0] - xj[0]) ** 2 + (xi[1] - xj[1]) ** 2
+                      for j, xj in enumerate(xs) if j != i))
+    return w2, d2
+
+
+EXACT_METHODS = [MethodKind.EHRLICH, MethodKind.DOCHEV_BYRNEV, MethodKind.TANABE]
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_measure_equals_direct_fraction_evaluation(self, seed):
+        rng = np.random.default_rng(7100 + seed)
+        n = int(rng.integers(2, 7))
+        f = random_monic(n, rng)
+        # scaled coefficients and points spread the exponents the common scale covers
+        f = Polynomial(f.coeffs * 2.0 ** int(rng.integers(-40, 40)))
+        x = random_distinct_points(n, rng) * 2.0 ** int(rng.integers(-20, 20))
+        assert exact_measure(f, x) == _direct_measure(f, x)
+
+    def test_measure_at_exact_roots(self):
+        # W vanishes exactly where f(x_i) does; d is exact
+        w2, d2 = exact_measure(Polynomial([1, 0, -1]), [1.0, -1.0])
+        assert w2 == [0, 0] and d2 == [4, 4]
+
+    def test_measure_rejects_coinciding_components(self):
+        with pytest.raises(ValueError, match="coincide"):
+            exact_measure(Polynomial([1, 0, -1]), [0.5, 0.5])
+
+    @pytest.mark.parametrize("p", [1.0, INF], ids=["1", "inf"])
+    @pytest.mark.parametrize("method", EXACT_METHODS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certificate_against_float_and_direct(self, method, p, seed):
+        rng = np.random.default_rng(7200 + seed)
+        n = int(rng.integers(2, 7))
+        roots = random_distinct_points(n, rng, min_sep=0.5)
+        f, x = known_instance(roots, 10.0 ** -int(rng.integers(0, 5)), seed=seed)
+        bundle = gauge_bundle(method, norm_context(n, p))
+        got = exact_certificate(bundle, f, x)
+        want = certify_initial(f, x, bundle)
+        w2, d2 = _direct_measure(f, x)
+        ratios = [w / d for w, d in zip(w2, d2)]
+        if p == INF:
+            # E is max sqrt(|W_i|**2 / d_i**2), rounded up by at most 2**-63
+            assert got.E ** 2 >= max(ratios)
+            assert (got.E / (1 + Fraction(1, 2 ** 62))) ** 2 <= max(ratios)
+        # the float W carries the rounding of f(x_i), which cancels near a root
+        assert float(got.E) == pytest.approx(want.E0, rel=1e-8)
+        if want.phi0 < 0.99:
+            assert got.issued and got.reason == ""
+            assert float(got.phi0) == pytest.approx(want.phi0, rel=1e-7)
+            np.testing.assert_allclose(got.rho, want.rho, rtol=1e-8)
+            # each radius is at least gamma(E)/(1 - beta(E)) |W_i| at the exact E,
+            # which is at least e_low; gamma and beta increase on [0, tau)
+            ctx = bundle.ctx
+            exact = gauge_bundle(method, dataclasses.replace(ctx, a=int(ctx.a), b=int(ctx.b)))
+            e_low = got.E / (1 + Fraction(1, 2 ** 62))
+            scale = exact.gamma(e_low) / (1 - exact.beta(e_low))
+            for r, w in zip(got.rho, w2):
+                assert Fraction(r) ** 2 >= scale ** 2 * w
+        elif not want.issued and (want.E0 > 1.01 * bundle.tau or want.phi0 > 1.01):
+            assert not got.issued and got.reason in ("E >= tau", "phi(E) > 1")
+
+    @pytest.mark.parametrize("p", [1.0, INF], ids=["1", "inf"])
+    @pytest.mark.parametrize("method", EXACT_METHODS, ids=lambda m: m.value)
+    def test_certificate_between_threshold_and_tau(self, method, p):
+        # E just below 0.9 tau: inside the domain, but phi(E) > 1
+        bundle = gauge_bundle(method, norm_context(5, p))
+        f, x = roots_of_unity_just_below_tau(5, bundle.ctx, 0.9 * bundle.tau)
+        assert bundle.phi(certify_initial(f, x, bundle).E0) > 1.01
+        got = exact_certificate(bundle, f, x)
+        assert not got.issued and got.reason == "phi(E) > 1" and got.phi0 > 1
+
+    def test_certificate_declines_other_p(self):
+        f, x = known_instance([0.0, 1.0, 3.0], 0.01, seed=1)
+        got = exact_certificate(gauge_bundle(MethodKind.EHRLICH, norm_context(3, 2)), f, x)
+        assert not got.issued and got.E is None
+        assert got.reason.startswith("declined: at p = 2.0")

@@ -79,14 +79,14 @@ def _readers(f, res, bundle):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of measures.evaluate and measures.separation, as counted by
-    test_one_measurement_per_iterate."""
+    """Calls of measures.evaluate and of the separation reduction
+    measures._separations, as counted by test_one_measurement_per_iterate."""
     counts = {"evaluate": 0, "separation": 0}
-    for name in counts:
-        def counted(*args, _name=name, _original=getattr(measures, name)):
+    for name, attr in (("evaluate", "evaluate"), ("separation", "_separations")):
+        def counted(*args, _name=name, _original=getattr(measures, attr)):
             counts[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(measures, name, counted)
+        monkeypatch.setattr(measures, attr, counted)
     return counts
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestDefaultInit:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match="^default_init: the starting circle is not finite"):
             default_init(Polynomial([1e-320, 1, -1]))
+
+    def test_non_finite_circle_raises_no_numpy_warning_first(self):
+        # with RuntimeWarning an error, as in tier-1, the overflow in C_1/C_0
+        # still surfaces as default_init's own ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError,
+                               match="^default_init: the starting circle is not finite"):
+                default_init(Polynomial([1e-320, 1, -1]))
 
 
 def _synthetic_trace(w_norms):
@@ -321,13 +331,14 @@ def test_non_finite_measure_stops_the_run():
                                     MethodKind.DOCHEV_BYRNEV])
 def test_one_measurement_per_iterate(method, monkeypatch):
     # each iterate costs one whole-vector evaluation of f and one set of
-    # separations, shared by the step, the trace, the certificate and disks
+    # separations, shared by the step, the trace, the certificate and disks;
+    # measure reduces them in measures._separations
     counts = {"evaluate": 0, "separation": 0}
-    for name in counts:
-        def counted(*args, _name=name, _original=getattr(measures, name)):
+    for name, attr in (("evaluate", "evaluate"), ("separation", "_separations")):
+        def counted(*args, _name=name, _original=getattr(measures, attr)):
             counts[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(measures, name, counted)
+        monkeypatch.setattr(measures, attr, counted)
     f, x0 = known_instance([1.0, -1.0, 2.0, -2.0j], 0.01, seed=3)
     res = solve(f, x0, SolveConfig(method=method))
     assert res.certificate.issued and res.converged and res.disjoint
