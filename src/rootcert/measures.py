@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
-from .polynomials import Polynomial, evaluate
+from .polynomials import Polynomial, _complex128, evaluate
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,24 @@ def _integer(name: str, v, low: int) -> int:
     return int(v)
 
 
+# shown for a real that float() rejects with OverflowError, whose repr may
+# run to thousands of digits
+_BEYOND = "a real beyond binary64"
+
+
 def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _exponent(p) -> float:
-    """float(p) by the one rule for an exponent: a real, not a bool, 1 <= p <= inf."""
-    if not _real(p) or math.isnan(p := float(p)) or p < 1:
-        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p!r}")
-    return p
+    """float(p) by the one rule for an exponent: a real, not a bool, 1 <= p <= inf.
+    A finite p beyond binary64 is not inf, and fails it."""
+    try:
+        if _real(p) and not math.isnan(p := float(p)) and p >= 1:
+            return p
+    except OverflowError:
+        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {_BEYOND}") from None
+    raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p!r}")
 
 
 def norm_context(n: int, p: float) -> NormContext:
@@ -85,7 +94,7 @@ def p_norm(v, p: float) -> float:
         return 0.0
     if v.ndim != 1 or v.min() < 0.0:
         raise ValueError(f"p_norm needs a vector of entries >= 0, got shape {v.shape}")
-    m = float(np.max(v))
+    m = float(v.max())
     if m == 0.0 or math.isinf(m) or math.isinf(p):
         return m
     if p == 1:
@@ -123,7 +132,7 @@ def _separations(diff: np.ndarray) -> np.ndarray:
 def separation(x) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j| for x checked finite; a zero d_i
     (coinciding components) is left for the caller to reject."""
-    x = np.asarray(x, dtype=np.complex128)
+    x = _complex128(x, "points must be finite")
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
     return _separations(differences(_finite(x)))
@@ -150,7 +159,7 @@ class Measurement:
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
     """A complex128 copy of x, a vector of n = ctx.n = f.degree finite points."""
-    x = np.array(x, dtype=np.complex128)
+    x = _complex128(x, "points must be finite")
     if x.ndim != 1:
         raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
     if not x.size == ctx.n == f.degree:
@@ -170,9 +179,9 @@ def _measured(f: Polynomial, x, ctx: NormContext):
     coinciding components and raises NonDistinctComponents."""
     diff = differences(x)
     d = _separations(diff)
-    if np.any(d == 0.0):
+    if not d.all():
         raise NonDistinctComponents(f"components coincide (index {int(np.argmin(d))})")
-    w = evaluate(f, x) / (f.coeffs[0] * np.prod(diff, axis=0))
+    w = evaluate(f, x) / (f.coeffs[0] * diff.prod(axis=0))
     return _measurement(x, w, d, ctx), diff
 
 

@@ -18,6 +18,16 @@ _SQUARINGS = 4
 _BLOCK = 2 ** _SQUARINGS
 
 
+def _complex128(v, error: str) -> np.ndarray:
+    """np.array(v, dtype=complex128), a copy.  A real beyond binary64, which
+    numpy rejects with OverflowError, raises ValueError(error), the error of
+    the check that rejects an entry that is not finite."""
+    try:
+        return np.array(v, dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(error) from None
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Degree-n polynomial with complex coefficients, leading-first.
@@ -37,7 +47,7 @@ class Polynomial:
     def __post_init__(self):
         # a copy, so the caller's array stays writable and no later write
         # to it reaches coeffs, blocks or the hash
-        c = np.array(self.coeffs, dtype=np.complex128)
+        c = _complex128(self.coeffs, "coefficients must be finite")
         if c.ndim != 1 or c.size < 3:
             raise ValueError("need at least 3 coefficients (degree >= 2)")
         if c[0] == 0:
@@ -86,12 +96,13 @@ def evaluate(f: Polynomial, z):
     """
     z = np.asarray(z, dtype=np.complex128)
     nb = f.blocks.shape[0]
-    zz = np.tile(z.reshape(1, -1), (nb, 1))
-    acc = np.repeat(f.blocks[:, :1], z.size, axis=1)
+    zz = z.reshape(1, -1).repeat(nb, axis=0)
+    acc = f.blocks[:, :1].repeat(z.size, axis=1)
     for col in f.blocks.T[1:, :, None]:
-        # not in place: numpy rounds an in-place product of length 1
-        # differently from a longer one
-        acc = acc * zz + col
+        # product out of place, as numpy rounds an in-place one of length 1
+        # differently; the sum, rounded alike either way, in place
+        acc = acc * zz
+        acc += col
     value = acc[0]
     if nb > 1:
         zb = zz[0]

@@ -14,8 +14,8 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import (Measurement, _checked, _exponent, _finite, _integer, _measured,
-                       _real, norm_context, remember)
+from .measures import (_BEYOND, Measurement, _checked, _exponent, _finite, _integer,
+                       _measured, _real, norm_context, remember)
 from .polynomials import Polynomial
 
 
@@ -34,7 +34,11 @@ class SolveConfig:
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
         _exponent(self.p)
         _integer("max_iter", self.max_iter, 1)
-        if not (_real(self.w_tol) and math.isfinite(self.w_tol) and self.w_tol > 0):
+        try:
+            ok = _real(self.w_tol) and math.isfinite(self.w_tol) and self.w_tol > 0
+        except OverflowError:
+            raise ValueError(f"w_tol must be finite and > 0, got {_BEYOND}") from None
+        if not ok:
             raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")
         if not isinstance(rc := self.require_certificate, (bool, np.bool_)):
             raise ValueError(f"require_certificate must be a bool, got {rc!r}")
@@ -80,14 +84,16 @@ def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
     centered at the coefficient centroid -C_1/(n C_0), with radius
     1 + max_i |C_i/C_0|**(1/i) and a rotation to break symmetry.
     Pairwise distinct by construction; a ValueError where not finite."""
-    n = f.degree
+    n, error = f.degree, "default_init: the starting circle is not finite for these coefficients"
     with np.errstate(all="ignore"):  # an overflow is reported by the ValueError
         c = f.coeffs / f.coeffs[0]
         center = -c[1] / n
         radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
-        angles = 2.0 * np.pi * np.arange(n) / n + rotation
-        return _finite(center + radius * np.exp(1j * angles),
-                       "default_init: the starting circle is not finite for these coefficients")
+        try:
+            angles = 2.0 * np.pi * np.arange(n) / n + rotation
+        except OverflowError:  # a rotation beyond binary64, as an infinite one
+            raise ValueError(error) from None
+        return _finite(center + radius * np.exp(1j * angles), error)
 
 
 def estimate_order(trace: Sequence[Measurement]) -> Optional[float]:
@@ -136,7 +142,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     aborted = cfg.require_certificate and not certificate.issued
     while True:
         trace.append(m)
-        converged = bool(np.max(np.abs(m.w)) <= tol)
+        converged = bool(np.abs(m.w).max() <= tol)
         if (converged or aborted or not math.isfinite(m.E)
                 or len(trace) > cfg.max_iter):
             break

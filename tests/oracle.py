@@ -1,6 +1,6 @@
 """Test-support oracles: known-answer instance generation, root matching,
-a finite-difference Newton step on the Viete system, the plain Horner
-recurrence, derivatives by synthetic division, and the reference forms of
+a finite-difference Newton step on the Viete system, the plain and the
+blocked Horner recurrences, derivatives by synthetic division, and the reference forms of
 the iterations that the identity tests compare against.
 
 None of this is part of the rootcert package; the tests import it the way
@@ -91,6 +91,28 @@ def horner(f: Polynomial, z):
     for c in f.coeffs[1:]:
         acc = acc * z + c
     return acc
+
+
+def blocked_horner(f: Polynomial, z):
+    """f at z (scalar or array) by the blocked Horner scheme, written as
+    ``evaluate`` first wrote it: each chunk pass forms its product and its
+    broadcast sum as fresh arrays, and the chunks combine by Horner's
+    scheme in z**16, formed by four squarings.  The rounding sequence that
+    ``evaluate`` must keep, product for product, above degree 15."""
+    z = np.asarray(z, dtype=np.complex128)
+    nb = f.blocks.shape[0]
+    zz = np.tile(z.reshape(1, -1), (nb, 1))
+    acc = np.repeat(f.blocks[:, :1], z.size, axis=1)
+    for col in f.blocks.T[1:, :, None]:
+        acc = acc * zz + col
+    value = acc[0]
+    if nb > 1:
+        zb = zz[0]
+        for _ in range(4):
+            zb = zb * zb
+        for chunk in acc[1:]:
+            value = value * zb + chunk
+    return value.reshape(z.shape)[()]
 
 
 def known_instance(roots, perturbation: float, seed: int):

@@ -13,7 +13,7 @@ from rootcert import (
     viete,
 )
 from conftest import random_distinct_points, random_monic
-from oracle import coeff_vector, evaluate_with_derivatives, horner
+from oracle import blocked_horner, coeff_vector, evaluate_with_derivatives, horner
 
 
 def test_evaluate_simple():
@@ -47,6 +47,28 @@ def test_evaluate_bitwise_equals_plain_horner(n):
     for zi in z[:10]:
         got = evaluate(f, zi)
         assert np.shape(got) == () and got == horner(f, zi)
+
+
+def _same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.complex128
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17, 31, 33, 64, 128, 129, 255, 256, 257, 512, 513])
+def test_evaluate_bitwise_equals_blocked_horner(n):
+    # above degree 15 the chunks round in their own order, which the
+    # oracle pins: a rewrite that changed scalar and array calls alike
+    # would still pass the scalar-against-array test below
+    rng = np.random.default_rng([7, n])
+    f = random_monic(n, rng)
+    z = np.concatenate([default_init(f),
+                        rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60)])
+    grid = z[-60:].reshape(6, 10)
+    for zs in (z, z[::2], grid, grid[:, ::3], grid.T):
+        _same_bits(evaluate(f, zs), blocked_horner(f, zs))
+    for zi in (z[0], z[-1], complex(z[1]), 0.5):
+        _same_bits(evaluate(f, zi), blocked_horner(f, zi))
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 128,

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+from fractions import Fraction
 import pickle
 import warnings
 
@@ -20,6 +21,7 @@ from rootcert import (
     a_priori_bound,
     certify_initial,
     default_init,
+    e_measure,
     ehrlich_step_bs,
     estimate_order,
     from_roots,
@@ -27,6 +29,8 @@ from rootcert import (
     inclusion_disks,
     measure,
     norm_context,
+    p_norm,
+    separation,
     solve,
     tanabe_step,
     viete,
@@ -545,3 +549,46 @@ def test_solve_builds_no_disks(monkeypatch):
     assert r.final_certificate.strict and calls == []
     assert len(r.disks) == 2 and r.disjoint
     assert calls == ["disks_at", "disjoint_at"]
+
+
+# reals that binary64 cannot hold, which float() and numpy reject with
+# OverflowError; each must meet the typed error that inf meets in its place
+BEYOND = (10**400, -10**400, Fraction(10**401, 3))
+# where a value must be finite: the error and its message are the ones inf gets
+MUST_BE_FINITE = {
+    "Polynomial": lambda v: Polynomial([v, 1, 1]),
+    "measure": lambda v: measure(F, [1, v], norm_context(2, INF)),
+    "e_measure": lambda v: e_measure(F, [1, v], norm_context(2, INF)),
+    "solve": lambda v: solve(F, [1, v]),
+    "separation": lambda v: separation([1, v]),
+    "default_init": lambda v: default_init(F, rotation=v),
+}
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])
+@pytest.mark.parametrize("call", MUST_BE_FINITE.values(), ids=MUST_BE_FINITE)
+def test_a_real_beyond_binary64_is_not_finite(call, value):
+    with pytest.raises(ValueError) as at_inf:
+        call(INF)
+    with pytest.raises(ValueError) as beyond:
+        call(value)
+    assert type(beyond.value) is type(at_inf.value)
+    assert str(beyond.value) == str(at_inf.value)
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])
+@pytest.mark.parametrize("call", [lambda v: norm_context(4, v), lambda v: p_norm([1.0, 2.0], v),
+                                  lambda v: SolveConfig(p=v)],
+                         ids=["norm_context", "p_norm", "SolveConfig"])
+def test_an_exponent_beyond_binary64_is_a_bad_exponent(call, value):
+    # a finite p is not inf, however large: p = inf fixes a = n - 1, b = 2
+    with pytest.raises(BadExponent, match=r"^p must satisfy 1 <= p <= inf, "
+                                          r"got a real beyond binary64$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])
+def test_a_tolerance_beyond_binary64_is_rejected(value):
+    with pytest.raises(ValueError, match=r"^w_tol must be finite and > 0, "
+                                         r"got a real beyond binary64$"):
+        SolveConfig(w_tol=value)

@@ -7,7 +7,7 @@ Each SRC is a directory that holds the ``rootcert`` package, such as the
 Python process with that tree first on ``sys.path``, and every output is
 compared by its exact bytes.  The names of the entries that differ, or are
 missing on one side, are printed, and the exit status is 1 if there are
-any, else 0.
+any, else 0; it is 2 where a tree fails to run the grid.
 
 The grid: Kac polynomials (non-leading coefficients uniform in the unit
 square, as ``tests/conftest.random_monic``) of the degrees in DEGREES for
@@ -151,7 +151,12 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    parent, change = (_outputs(src) for src in argv)
+    try:
+        parent, change = (_outputs(src) for src in argv)
+    except subprocess.CalledProcessError as exc:
+        # not a difference: the comparison could not be made
+        print(f"a tree failed to run the grid: {exc}", file=sys.stderr)
+        return 2
     differ = [name for name in sorted(parent.keys() | change.keys())
               if name not in parent or name not in change
               or pickle.dumps(parent[name]) != pickle.dumps(change[name])]
