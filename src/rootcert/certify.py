@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import DegreeMismatch, NotCertified, UnsupportedCombination
 from .iterations import MethodKind
-from .measures import Measurement, NormContext, _integer, differences, e_measure, measure
-from .polynomials import Polynomial
+from .measures import (_BEYOND, Measurement, NormContext, _integer, differences, e_measure,
+                       measure)
+from .polynomials import Polynomial, _array
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,8 @@ def _bound_args(cert: Certificate, norms, k, what: str) -> tuple:
     """(kc, lambda**(3**kc), norms), kc = min(k, _K_CAP), for n norms >= 0."""
     _issued(cert, what)
     _integer("k", k, 0)
-    norms, n = np.asarray(norms, dtype=float), cert.bundle.ctx.n
+    norms = _array(norms, f"{what} needs norms >= 0, got {_BEYOND}", float)
+    n = cert.bundle.ctx.n
     if norms.shape != (n,):
         raise DegreeMismatch(f"{what} needs {n} norms, got shape {norms.shape}")
     if not np.all(norms >= 0.0):

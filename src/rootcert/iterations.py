@@ -3,10 +3,10 @@
 Every production step maps a fresh ``Measurement`` m and the matrix D
 that W was reduced from to the next iterate: Weierstrass, Ehrlich in the
 Boersch-Supan form and Presic-Tanabe read m.x, W = m.w and D, and are D's
-only readers.  Dochev-Byrnev runs through the Tanabe map, since the two
-methods are identical.  The public ``*_step(f, x)`` functions measure x
-afresh and apply the same map; each maps an exact root vector to itself
-bitwise, since W is then zero.
+last readers, as sigma overwrites D.  Dochev-Byrnev runs through the
+Tanabe map, since the two methods are identical.  The public
+``*_step(f, x)`` functions measure x afresh and apply the same map; each
+maps an exact root vector to itself bitwise, since W is then zero.
 The algebraically identical reference forms are test oracles in
 ``tests/oracle.py``, not part of the package.
 """

@@ -7,7 +7,10 @@ and E into a ``Measurement`` that carries its point, trusts it.  A zero
 d_i, and nothing else, decides that components coincide.  Each of d, W
 and sigma is a reduction of one pairwise-difference matrix D per point,
 built by ``differences``, which ``_measured`` hands to the step map that
-follows, D's one reader, and keeps nowhere.
+follows, D's one reader, and keeps nowhere.  ``sigmas`` reduces in D's own
+memory and ``solve`` drops D before the next measurement: an iterate holds
+one n x n complex array (and |D| while d is reduced), where two freed
+together let glibc trim its heap and the next iterate fault it back in.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
-from .polynomials import Polynomial, _complex128, evaluate
+from .polynomials import Polynomial, _array, evaluate
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,8 @@ def p_norm(v, p: float) -> float:
     """p-norm of a nonnegative real vector, rescaled by the maximum to
     avoid overflow for large p; inf where an entry is inf.  Anything but a
     vector of entries >= 0 (NaN aside) raises ValueError."""
-    v, p = np.asarray(v, dtype=float), _exponent(p)
+    v = _array(v, f"p_norm needs a vector of entries >= 0, got {_BEYOND}", float)
+    p = _exponent(p)
     if v.shape == (0,):
         return 0.0
     if v.ndim != 1 or v.min() < 0.0:
@@ -132,7 +136,7 @@ def _separations(diff: np.ndarray) -> np.ndarray:
 def separation(x) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j| for x checked finite; a zero d_i
     (coinciding components) is left for the caller to reject."""
-    x = _complex128(x, "points must be finite")
+    x = _array(x, "points must be finite")
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
     return _separations(differences(_finite(x)))
@@ -140,10 +144,10 @@ def separation(x) -> np.ndarray:
 
 def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """sigma_i = sum over j != i of W_j / (x_i - x_j), all i at once,
-    from W and diff = differences(x)."""
-    ratio = w[:, None] / diff
-    np.fill_diagonal(ratio, 0.0)
-    return ratio.sum(axis=0)
+    from W and diff = differences(x), which it overwrites: its last reader."""
+    np.divide(w[:, None], diff, out=diff)
+    np.fill_diagonal(diff, 0.0)
+    return diff.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +163,7 @@ class Measurement:
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
     """A complex128 copy of x, a vector of n = ctx.n = f.degree finite points."""
-    x = _complex128(x, "points must be finite")
+    x = _array(x, "points must be finite")
     if x.ndim != 1:
         raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
     if not x.size == ctx.n == f.degree:

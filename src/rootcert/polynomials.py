@@ -18,12 +18,12 @@ _SQUARINGS = 4
 _BLOCK = 2 ** _SQUARINGS
 
 
-def _complex128(v, error: str) -> np.ndarray:
-    """np.array(v, dtype=complex128), a copy.  A real beyond binary64, which
-    numpy rejects with OverflowError, raises ValueError(error), the error of
-    the check that rejects an entry that is not finite."""
+def _array(v, error: str, dtype=np.complex128) -> np.ndarray:
+    """np.array(v, dtype), a copy.  A real beyond binary64, which numpy
+    rejects with OverflowError, raises ValueError(error): the error of the
+    check that rejects an entry not finite, or one the caller cannot take."""
     try:
-        return np.array(v, dtype=np.complex128)
+        return np.array(v, dtype=dtype)
     except OverflowError:
         raise ValueError(error) from None
 
@@ -47,7 +47,7 @@ class Polynomial:
     def __post_init__(self):
         # a copy, so the caller's array stays writable and no later write
         # to it reaches coeffs, blocks or the hash
-        c = _complex128(self.coeffs, "coefficients must be finite")
+        c = _array(self.coeffs, "coefficients must be finite")
         if c.ndim != 1 or c.size < 3:
             raise ValueError("need at least 3 coefficients (degree >= 2)")
         if c[0] == 0:
@@ -94,7 +94,7 @@ def evaluate(f: Polynomial, z):
     numpy rounds a broadcast complex product differently from a
     contiguous one, and this keeps scalar and array calls bitwise equal.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = _array(z, "points must be finite")
     nb = f.blocks.shape[0]
     zz = z.reshape(1, -1).repeat(nb, axis=0)
     acc = f.blocks[:, :1].repeat(z.size, axis=1)
@@ -118,6 +118,8 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
 
     Repeated roots are allowed; the product is well-defined either way.
     """
+    error = "coefficients must be finite"
+    roots, leading = _array(roots, error), _array(leading, error)
     return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 
@@ -128,7 +130,7 @@ def viete(x) -> np.ndarray:
     polynomial with roots x; a vector x solves the Viete system of f
     exactly when viete(x) == f.coeffs[1:] / f.coeffs[0].
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = _array(x, "points must be finite")
     if x.size < 2:
         raise ValueError("need at least 2 components")
     coeffs = np.array([1.0 + 0.0j])

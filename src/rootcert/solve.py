@@ -146,7 +146,9 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         if (converged or aborted or not math.isfinite(m.E)
                 or len(trace) > cfg.max_iter):
             break
-        m, diff = _measured(f, _STEP_MAPS[cfg.method](m, diff), ctx)
+        x = _STEP_MAPS[cfg.method](m, diff)
+        del diff  # freed before the next D is built
+        m, diff = _measured(f, x, ctx)
 
     remember(f, trace[0], m)
     at_final = certificate_at(bundle, m) if certificate and certificate.issued else None

@@ -24,6 +24,7 @@ from rootcert import (
     e_measure,
     ehrlich_step_bs,
     estimate_order,
+    evaluate,
     from_roots,
     gauge_bundle,
     inclusion_disks,
@@ -592,3 +593,42 @@ def test_a_tolerance_beyond_binary64_is_rejected(value):
     with pytest.raises(ValueError, match=r"^w_tol must be finite and > 0, "
                                          r"got a real beyond binary64$"):
         SolveConfig(w_tol=value)
+
+
+# where no check rejects inf (evaluate and viete compute with it, and
+# from_roots meets a NaN product before its coefficients are checked), the
+# message is still the one that rejects an entry that is not finite
+NOT_FINITE = {
+    "evaluate": (lambda v: evaluate(F, v), "points must be finite"),
+    "evaluate vector": (lambda v: evaluate(F, [1, v]), "points must be finite"),
+    "viete": (lambda v: viete([1, v]), "points must be finite"),
+    "from_roots": (lambda v: from_roots([1, v]), "coefficients must be finite"),
+    "from_roots leading": (lambda v: from_roots([1, 2], leading=v),
+                           "coefficients must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])
+@pytest.mark.parametrize("call, message", NOT_FINITE.values(), ids=NOT_FINITE)
+def test_a_real_beyond_binary64_meets_the_finite_check(call, message, value):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)
+
+
+def test_from_roots_rejects_inf_with_the_same_message():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match=r"^coefficients must be finite$"):
+        from_roots([1, INF])
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])
+def test_a_norm_beyond_binary64_is_rejected(value):
+    with pytest.raises(ValueError, match=r"^p_norm needs a vector of entries >= 0, "
+                                         r"got a real beyond binary64$"):
+        p_norm([value, 1.0], 2)
+    bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(2, INF))
+    cert = certify_initial(F, [1.001, -1.001], bundle)
+    assert cert.issued
+    with pytest.raises(ValueError, match=r"^a priori bound needs norms >= 0, "
+                                         r"got a real beyond binary64$"):
+        a_priori_bound(cert, [value, 1.0], 2)

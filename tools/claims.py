@@ -15,8 +15,13 @@ the reference error of its root is undecided.  An input whose reference
 roots cannot be established counts all of its n components as undecided,
 so no input is dropped.
 
-It prints one JSON line: the totals of issued, unsound and undecided
-disks, and the same counts per degree.  It exits 0 whatever the counts.
+The families in ``families()`` (Wilkinson-10/15/20, the polynomials of the
+Chebyshev points of degree 16 and 32, and z**64 - 1) run the same way, but
+from the exact roots r + 1e-3 * d_i(r) / n with ``max_iter`` 400.
+
+It prints one JSON line: the totals of issued, unsound and undecided Kac
+disks, the same counts per degree, and per family.  It exits 0 whatever
+the counts.
 """
 
 from __future__ import annotations
@@ -28,6 +33,39 @@ import sys
 DEGREES = (16, 64, 128, 256)
 SEEDS = (1, 2, 3)
 SHIFT = 1e-6
+FAMILY_SHIFT = 1e-3
+FAMILY_MAX_ITER = 400
+
+
+def families():
+    """(name, leading-first complex coefficients) of each family's input,
+    expanded by numpy, so that every tree counts the same inputs."""
+    import numpy as np
+
+    for n in (10, 15, 20):
+        yield f"wilkinson-{n}", np.poly(np.arange(1.0, n + 1)).astype(complex)
+    for n in (16, 32):
+        k = np.arange(1, n + 1)
+        yield f"chebyshev-{n}", np.poly(np.cos((2 * k - 1) * np.pi / (2 * n))).astype(complex)
+    yield "unity-64", np.concatenate([[1.0], np.zeros(63), [-1.0]]).astype(complex)
+
+
+def _count(row: dict, coeffs, start, cfg) -> None:
+    """Add the disks of the certified solve from start(exact roots) to row."""
+    import reference
+    import rootcert as rc
+
+    try:
+        ref = reference.reference_roots(coeffs)
+    except reference.ReferenceFailure:
+        row["undecided"] += coeffs.size - 1
+        return
+    disks = rc.solve(rc.Polynomial(coeffs), start(ref.roots), cfg).disks
+    out = reference.check_disks(reference.Outcome(), [d.center for d in disks],
+                                [d.radius for d in disks], ref)
+    row["issued"] += len(disks)
+    row["unsound"] += out.unsound
+    row["undecided"] += out.undecided
 
 
 def counts() -> dict:
@@ -35,27 +73,21 @@ def counts() -> dict:
     import reference
     import rootcert as rc
 
-    total = {"issued": 0, "unsound": 0, "undecided": 0}
-    by_n = {}
+    keys = ("issued", "unsound", "undecided")
+    total, by_n, by_family = dict.fromkeys(keys, 0), {}, {}
     for n in DEGREES:
-        row = by_n[str(n)] = dict.fromkeys(total, 0)
+        row = by_n[str(n)] = dict.fromkeys(keys, 0)
         for seed in SEEDS:
             coeffs = reference.kac_coeffs(np.random.default_rng([seed, n]), n)
-            try:
-                ref = reference.reference_roots(coeffs)
-            except reference.ReferenceFailure:
-                row["undecided"] += n
-                continue
-            res = rc.solve(rc.Polynomial(coeffs), ref.roots + SHIFT)
-            disks = res.disks
-            out = reference.check_disks(reference.Outcome(), [d.center for d in disks],
-                                        [d.radius for d in disks], ref)
-            row["issued"] += len(disks)
-            row["unsound"] += out.unsound
-            row["undecided"] += out.undecided
+            _count(row, coeffs, lambda roots: roots + SHIFT, rc.SolveConfig())
         for key in total:
             total[key] += row[key]
-    return {**total, "by_n": by_n}
+    for name, coeffs in families():
+        n = coeffs.size - 1
+        row = by_family[name] = dict.fromkeys(keys, 0)
+        _count(row, coeffs, lambda roots: roots + FAMILY_SHIFT * rc.separation(roots) / n,
+               rc.SolveConfig(max_iter=FAMILY_MAX_ITER))
+    return {**total, "by_n": by_n, "by_family": by_family}
 
 
 def main(argv) -> int:
