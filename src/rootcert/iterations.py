@@ -43,7 +43,7 @@ def _weierstrass(m: Measurement, diff: np.ndarray) -> np.ndarray:
 
 def _ehrlich(m: Measurement, diff: np.ndarray) -> np.ndarray:
     den = 1.0 + sigmas(m.w, diff)
-    bad = np.abs(den) < 1e-14 * (1.0 + np.abs(m.x))
+    bad = np.abs(den) < 1e-14
     if bad.any():
         i = int(np.argmax(bad))
         raise OutsideDomain(f"Ehrlich denominator vanishes at component {i}")

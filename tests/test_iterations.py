@@ -73,10 +73,13 @@ def test_not_distinct_rejected(step):
         step(F, [1.0, 1.0])
 
 
-def test_ehrlich_outside_domain():
-    # f = z^2 + 3 at x = (1, -1): sigma_i = -1 so 1 + sigma vanishes
-    f = Polynomial([1, 0, 3])
-    x = np.array([1.0, -1.0], dtype=complex)
+@pytest.mark.parametrize("k", [-60, 0, 60])
+def test_ehrlich_outside_domain(k):
+    # f = z^2 + 3 at x = (1, -1): sigma_i = -1 so 1 + sigma vanishes; the
+    # guard has no unit, so it fires for a_i s^i at s x with s = 2^k too
+    s = 2.0 ** k
+    f = Polynomial(np.array([1, 0, 3]) * s ** np.arange(3))
+    x = s * np.array([1.0, -1.0], dtype=complex)
     w = weierstrass_correction(f, x)
     assert abs(1 + sigma_sum(w, x, 0, x[0])) < 1e-14
     with pytest.raises(OutsideDomain):

@@ -19,14 +19,24 @@ The families in ``families()`` (Wilkinson-10/15/20, the polynomials of the
 Chebyshev points of degree 16 and 32, and z**64 - 1) run the same way, but
 from the exact roots r + 1e-3 * d_i(r) / n with ``max_iter`` 400.
 
+For each input of degree n <= EXACT_MAX_N, the final iterate is also
+decided with no rounding by ``tests/oracle.exact_certificate`` (Ehrlich,
+p = inf), and where that issues, its disks (centred at the final iterate,
+with the exact certificate's radii) are checked the same way.  Its n
+components count as exact_declined where the exact certificate does not
+issue, else as exact_issued, of which exact_unsound and exact_undecided
+count as above; an input whose reference roots cannot be established
+counts them as exact_undecided.  No input is dropped.
+
 It prints one JSON line: the totals of issued, unsound and undecided Kac
-disks, the same counts per degree, and per family.  It exits 0 whatever
-the counts.
+disks, the same counts per degree, and per family, with the exact counts
+in each row of degree <= EXACT_MAX_N.  It exits 0 whatever the counts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -35,6 +45,9 @@ SEEDS = (1, 2, 3)
 SHIFT = 1e-6
 FAMILY_SHIFT = 1e-3
 FAMILY_MAX_ITER = 400
+EXACT_MAX_N = 64
+KEYS = ("issued", "unsound", "undecided")
+EXACT_KEYS = ("exact_issued", "exact_unsound", "exact_undecided", "exact_declined")
 
 
 def families():
@@ -50,22 +63,46 @@ def families():
     yield "unity-64", np.concatenate([[1.0], np.zeros(63), [-1.0]]).astype(complex)
 
 
+def _row(n: int) -> dict:
+    keys = KEYS + EXACT_KEYS if n <= EXACT_MAX_N else KEYS
+    return dict.fromkeys(keys, 0)
+
+
 def _count(row: dict, coeffs, start, cfg) -> None:
-    """Add the disks of the certified solve from start(exact roots) to row."""
+    """Add the disks of the certified solve from start(exact roots) to row,
+    and for a row with exact counts those of the exact certificate at its
+    final iterate."""
+    import oracle
     import reference
     import rootcert as rc
 
+    n, exact = coeffs.size - 1, "exact_issued" in row
     try:
         ref = reference.reference_roots(coeffs)
     except reference.ReferenceFailure:
-        row["undecided"] += coeffs.size - 1
+        row["undecided"] += n
+        if exact:
+            row["exact_undecided"] += n
         return
-    disks = rc.solve(rc.Polynomial(coeffs), start(ref.roots), cfg).disks
+    f = rc.Polynomial(coeffs)
+    res = rc.solve(f, start(ref.roots), cfg)
+    disks = res.disks
     out = reference.check_disks(reference.Outcome(), [d.center for d in disks],
                                 [d.radius for d in disks], ref)
     row["issued"] += len(disks)
     row["unsound"] += out.unsound
     row["undecided"] += out.undecided
+    if not exact:
+        return
+    bundle = rc.gauge_bundle(rc.MethodKind.EHRLICH, rc.norm_context(n, math.inf))
+    c = oracle.exact_certificate(bundle, f, res.final)
+    if not c.issued:
+        row["exact_declined"] += n
+        return
+    out = reference.check_disks(reference.Outcome(), res.final, c.rho, ref)
+    row["exact_issued"] += n
+    row["exact_unsound"] += out.unsound
+    row["exact_undecided"] += out.undecided
 
 
 def counts() -> dict:
@@ -73,10 +110,9 @@ def counts() -> dict:
     import reference
     import rootcert as rc
 
-    keys = ("issued", "unsound", "undecided")
-    total, by_n, by_family = dict.fromkeys(keys, 0), {}, {}
+    total, by_n, by_family = dict.fromkeys(KEYS, 0), {}, {}
     for n in DEGREES:
-        row = by_n[str(n)] = dict.fromkeys(keys, 0)
+        row = by_n[str(n)] = _row(n)
         for seed in SEEDS:
             coeffs = reference.kac_coeffs(np.random.default_rng([seed, n]), n)
             _count(row, coeffs, lambda roots: roots + SHIFT, rc.SolveConfig())
@@ -84,7 +120,7 @@ def counts() -> dict:
             total[key] += row[key]
     for name, coeffs in families():
         n = coeffs.size - 1
-        row = by_family[name] = dict.fromkeys(keys, 0)
+        row = by_family[name] = _row(n)
         _count(row, coeffs, lambda roots: roots + FAMILY_SHIFT * rc.separation(roots) / n,
                rc.SolveConfig(max_iter=FAMILY_MAX_ITER))
     return {**total, "by_n": by_n, "by_family": by_family}
@@ -96,7 +132,8 @@ def main(argv) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0] if argv else os.path.join(here, os.pardir, "src"))
-    sys.path[:0] = [src, os.path.join(here, os.pardir, "bench")]
+    sys.path[:0] = [src, os.path.join(here, os.pardir, "bench"),
+                    os.path.join(here, os.pardir, "tests")]
     import rootcert
 
     if not os.path.realpath(rootcert.__file__).startswith(os.path.realpath(src) + os.sep):
