@@ -44,10 +44,6 @@ class GaugeBundle:
         return self.beta(t) / self.psi(t)
 
 
-def _finite_or_none(v: float):
-    return float(v) if math.isfinite(v) else None
-
-
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """Verified initial-condition record of the point x0 measured in at:
@@ -82,23 +78,6 @@ class Certificate:
     @property
     def order(self) -> Optional[int]:
         return 3 if self.strict else None
-
-    def to_dict(self) -> dict:
-        ctx = self.bundle.ctx
-        return {
-            "method": self.bundle.method.value,
-            "n": ctx.n,
-            "p": "inf" if math.isinf(ctx.p) else ctx.p,
-            "E0": _finite_or_none(self.E0),
-            "tau": self.bundle.tau,
-            "phi0": _finite_or_none(self.phi0),
-            "strict": self.strict,
-            "lambda": _finite_or_none(self.lam),
-            "theta": _finite_or_none(self.theta),
-            "rho": None if self.rho is None else self.rho.tolist(),
-            "order": self.order,
-            "issued": self.issued,
-        }
 
 
 @dataclass(frozen=True)

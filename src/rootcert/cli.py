@@ -7,8 +7,9 @@ its flags before any input; --batch DIR solves each JSON file of DIR with one
 SolveConfig, as --input would.  solve --seed S >= 0 rotates the default
 starting points by one angle per request and conflicts with --guess; a guess
 in an --input file takes precedence over it.  --json and --batch print the
-payload as one line from json's C encoder (an indent selects the pure-Python
-one; python -m json.tool indents).  Each subcommand returns (exit status,
+payload, which only this module writes, as one line from json's C encoder (an
+indent selects the pure-Python one; python -m json.tool indents), with null
+for every float that is not finite.  Each subcommand returns (exit status,
 payload, render); render() gives the text lines, built only when printed.
 _attempt turns a failure into a status, one stderr line and an empty render.
 Requests run with numpy's floating-point warnings off, so stderr carries only
@@ -40,8 +41,19 @@ class InputError(ValueError):
     pass
 
 
-def _complex_to_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _floats(values) -> list:
+    """values as Python floats, None (null) where not finite, as JSON has no
+    NaN or Infinity: E0, phi0, lambda, theta and each complex go through here."""
+    parts = np.asarray(values, dtype=np.float64)
+    out = parts.tolist()
+    for i in np.flatnonzero(~np.isfinite(parts)).tolist():
+        out[i] = None
+    return out
+
+
+def _complexes(values) -> list:
+    parts = iter(_floats(np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)))
+    return [{"re": re, "im": im} for re, im in zip(parts, parts)]
 
 
 def _complex_from_json(obj) -> complex:
@@ -87,10 +99,19 @@ def _load_request(args, path) -> tuple:
     return Polynomial(coeffs), guess
 
 
+def _certificate_payload(cert) -> dict:
+    b = cert.bundle
+    E0, phi0, lam, theta = _floats([cert.E0, cert.phi0, cert.lam, cert.theta])
+    return {"method": b.method.value, "n": b.ctx.n,
+            "p": "inf" if math.isinf(b.ctx.p) else b.ctx.p, "E0": E0, "tau": b.tau,
+            "phi0": phi0, "strict": cert.strict, "lambda": lam, "theta": theta,
+            "rho": None if cert.rho is None else cert.rho.tolist(),
+            "order": cert.order, "issued": cert.issued}
+
+
 def _disks_payload(disks, disjoint: bool) -> dict:
-    return {"disks": [{"center": _complex_to_json(d.center), "radius": d.radius}
-                      for d in disks],
-            "disjoint": disjoint}
+    pairs = zip(_complexes([d.center for d in disks]), disks)
+    return {"disks": [{"center": c, "radius": d.radius} for c, d in pairs], "disjoint": disjoint}
 
 
 def _disk_lines(disks) -> list:
@@ -101,9 +122,9 @@ def _disk_lines(disks) -> list:
 def _result_to_json(result, disks) -> dict:
     return {
         "certificate": None if result.certificate is None
-        else result.certificate.to_dict(),
+        else _certificate_payload(result.certificate),
         "converged": result.converged,
-        "roots": [_complex_to_json(z) for z in result.final.tolist()],
+        "roots": _complexes(result.final),
         **_disks_payload(disks, result.disjoint),
         "iterations": result.iterations,
         "order_estimate": result.order_estimate,
@@ -180,7 +201,7 @@ def _point_request(args) -> tuple:
 
 def _cmd_certify(args) -> tuple:
     cert = certify_initial(*_point_request(args))
-    return (0 if cert.issued else 2), {"certificate": cert.to_dict()}, lambda: [
+    return (0 if cert.issued else 2), {"certificate": _certificate_payload(cert)}, lambda: [
         f"issued: {cert.issued}   strict: {cert.strict}",
         f"E0 = {cert.E0:.6g}   tau = {cert.bundle.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
-from .polynomials import Polynomial, _array, evaluate
+from .polynomials import Polynomial, _array, _finite, evaluate
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,6 @@ def differences(x) -> np.ndarray:
     diff = x[None, :] - x[:, None]
     np.fill_diagonal(diff, 1.0)
     return diff
-
-
-def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
-    """x where all entries are finite, as a point's must be; else ValueError(error)."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError(error)
-    return x
 
 
 def _separations(diff: np.ndarray) -> np.ndarray:

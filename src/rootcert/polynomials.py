@@ -28,6 +28,14 @@ def _array(v, error: str, dtype=np.complex128) -> np.ndarray:
         raise ValueError(error) from None
 
 
+def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
+    """x where all entries are finite, as a point's or a coefficient's must be;
+    else ValueError(error)."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(error)
+    return x
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Degree-n polynomial with complex coefficients, leading-first.
@@ -52,8 +60,7 @@ class Polynomial:
             raise ValueError("need at least 3 coefficients (degree >= 2)")
         if c[0] == 0:
             raise LeadingCoefficientZero("leading coefficient is zero")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+        _finite(c, "coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         width = min(_BLOCK, c.size)

@@ -14,9 +14,9 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import (_BEYOND, Measurement, _checked, _exponent, _finite, _integer,
-                       _measured, _real, norm_context, remember)
-from .polynomials import Polynomial
+from .measures import (_BEYOND, Measurement, _checked, _exponent, _integer, _measured,
+                       _real, norm_context, remember)
+from .polynomials import Polynomial, _finite
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+# Tanabe's step from this guess overflows to (inf, -inf); the run stops
+# there uncertified, which --no-certificate accepts with exit 0
+NON_FINITE_ROOTS = ["solve", "--coeffs", "1e-300,1,1", "--guess", "1e100,-1e100",
+                    "--method", "tanabe", "--no-certificate"]
+NULL_ROOTS = [{"re": None, "im": 0.0}, {"re": None, "im": 0.0}]
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     return code, json.loads(out), err
@@ -340,17 +347,34 @@ class TestInputHandling:
         assert code == 1
         assert "input error" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("subcommand", ["solve", "certify"])
-    def test_overflowing_measure_prints_valid_json(self, capsys, subcommand):
-        # f overflows at this finite guess, so E0 is not finite; the JSON
-        # writes it as null
-        code, out, _ = run_cli(capsys, subcommand, "--coeffs", "1,0,-1",
-                               "--guess", "1e300,-1e300", "--json")
-        assert code == 2
+    @pytest.mark.parametrize("argv, status, read, value", [
+        # f overflows at this finite guess, so E0 is not finite
+        pytest.param(["solve", "--coeffs", "1,0,-1", "--guess", "1e300,-1e300"],
+                     2, lambda data: data["certificate"]["E0"], None, id="solve"),
+        pytest.param(["certify", "--coeffs", "1,0,-1", "--guess", "1e300,-1e300"],
+                     2, lambda data: data["certificate"]["E0"], None, id="certify"),
+        # the run's one step lands at (inf, -inf), its final iterate
+        pytest.param(NON_FINITE_ROOTS, 0, lambda data: data["roots"], NULL_ROOTS,
+                     id="roots"),
+    ])
+    def test_overflowing_measure_prints_valid_json(self, capsys, argv, status,
+                                                   read, value):
+        # the JSON writes every float that is not finite as null
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == status
         data = json.loads(out, parse_constant=_reject_constant)
         assert data["certificate"]["issued"] is False
-        assert data["certificate"]["E0"] is None
+        assert read(data) == value
+
+    def test_non_finite_roots_print_as_inf_in_text(self, capsys):
+        code, out, err = run_cli(capsys, *NON_FINITE_ROOTS)
+        assert (code, err) == (0, "")
+        assert "root[0] = +inf +0j\nroot[1] = -inf +0j\n" in out
+
+    def test_coinciding_components_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--coeffs", "1,0,-1",
+                                 "--guess", "1,1")
+        assert (code, out, err) == (1, "", "error: components coincide (index 0)\n")
 
     @pytest.mark.parametrize("subcommand, err_lines", [
         ("solve", 0), ("certify", 0), ("disks", 1)])
@@ -523,6 +547,14 @@ class TestBatch:
                                  "--seed", "-1")
         assert (code, out) == (1, "")
         assert err == "input error: --seed must be an integer >= 0, got -1\n"
+
+    def test_non_finite_roots_print_as_null(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1e-300, 1, 1], [1e100, -1e100])
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path),
+                                 *NON_FINITE_ROOTS[-3:])
+        assert (code, err) == (0, "")
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["a.json"]["roots"] == NULL_ROOTS
 
     def test_empty_batch_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--batch", str(tmp_path))

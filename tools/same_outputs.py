@@ -25,6 +25,17 @@ after each.  A call that raises records the exception's type and message
 as its output.  A dataclass is compared by its public attributes, fields
 and properties alike, by name, so moving a value between a field and a
 property is no difference.
+
+After the library grid, the command line runs in the same process, and
+each entry is its (exit status, stdout) pair, stderr dropped.  For the
+two smallest DEGREES and both seeds, a request file holds the Kac
+coefficients and one also the near point above: ``solve --json`` from
+the near point, certified, and from ``default_init`` with
+``--no-certificate``, and ``certify --json`` and ``disks --json`` at the
+near point.  Then ``thresholds --n 5 --json``, one ``solve --batch`` over
+the directory of those files, and a Tanabe request whose final iterate is
+(inf, -inf), so the JSON's rule for a float that is not finite is
+compared too.
 """
 
 from __future__ import annotations
@@ -63,6 +74,14 @@ def _bits(v):
     return v
 
 
+def _kac(n: int, seed: int):
+    """The seeded Kac coefficients of degree n, leading-first."""
+    import numpy as np
+
+    rng = np.random.default_rng([seed, n])
+    return np.concatenate([[1.0 + 0.0j], rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)])
+
+
 def _run(call):
     try:
         return call()
@@ -79,10 +98,7 @@ def grid() -> dict:
     out = {}
     for n in DEGREES:
         for seed in SEEDS:
-            rng = np.random.default_rng([seed, n])
-            coeffs = np.concatenate([[1.0 + 0.0j],
-                                     rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)])
-            f = rc.Polynomial(coeffs)
+            f = rc.Polynomial(_kac(n, seed))
             x0 = rc.default_init(f)
             tag = f"n={n} seed={seed}"
             ctx = rc.norm_context(n, math.inf)
@@ -125,6 +141,58 @@ def grid() -> dict:
     return {name: _bits(v) for name, v in out.items()}
 
 
+def _cli(argv) -> tuple:
+    """(exit status, stdout) of the command line on argv; stderr is dropped."""
+    import contextlib
+    import io
+    from rootcert.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+def cli_grid() -> dict:
+    """What the command line prints, by entry name, as exact bytes."""
+    import json
+    import tempfile
+
+    import numpy as np
+    import rootcert as rc
+
+    def entries(values):
+        return [{"re": z.real, "im": z.imag} for z in np.asarray(values).tolist()]
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in DEGREES[:2]:
+            for seed in SEEDS:
+                f = rc.Polynomial(_kac(n, seed))
+                cfg = rc.SolveConfig(require_certificate=False)
+                near = rc.solve(f, rc.default_init(f), cfg).final * (1.0 + 1e-9)
+                tag = f"kac-{n}-{seed}"
+                plain, at_near = (os.path.join(tmp, f"{tag}{end}.json")
+                                  for end in ("", "-near"))
+                with open(plain, "w") as fh:
+                    json.dump({"coeffs": entries(f.coeffs)}, fh)
+                with open(at_near, "w") as fh:
+                    json.dump({"coeffs": entries(f.coeffs), "guess": entries(near)}, fh)
+                for name, argv in (
+                        ("solve near", ["solve", "--input", at_near]),
+                        ("solve --no-certificate", ["solve", "--input", plain, "--no-certificate"]),
+                        ("certify near", ["certify", "--input", at_near]),
+                        ("disks near", ["disks", "--input", at_near])):
+                    out[f"{tag} cli {name} --json"] = _cli(argv + ["--json"])
+        out["cli thresholds --n 5 --json"] = _cli(["thresholds", "--n", "5", "--json"])
+        out["cli solve --batch"] = _cli(["solve", "--batch", tmp])
+    # Tanabe's step overflows to a final iterate of (inf, -inf)
+    argv = ["solve", "--coeffs", "1e-300,1,1", "--guess", "1e100,-1e100",
+            "--method", "tanabe", "--no-certificate", "--json"]
+    out["cli " + " ".join(argv)] = _cli(argv)
+    return {name: _bits(v) for name, v in out.items()}
+
+
 def _dump() -> None:
     """Run the grid and write it, pickled, to stdout."""
     import numpy as np
@@ -134,7 +202,7 @@ def _dump() -> None:
     if not os.path.realpath(rootcert.__file__).startswith(src + os.sep):
         raise SystemExit(f"rootcert came from {rootcert.__file__}, not {src}")
     with np.errstate(all="ignore"):
-        entries = grid()
+        entries = {**grid(), **cli_grid()}
     sys.stdout.buffer.write(pickle.dumps(entries))
 
 
