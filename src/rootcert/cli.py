@@ -9,8 +9,10 @@ starting points by one angle per request and conflicts with --guess; a guess
 in an --input file takes precedence over it.  --json and --batch print the
 payload, which only this module writes, as one line from json's C encoder (an
 indent selects the pure-Python one; python -m json.tool indents), with null
-for every float that is not finite.  Each subcommand returns (exit status,
-payload, render); render() gives the text lines, built only when printed.
+for every float that is not finite.  A solve's payload writes its disks from
+the final certificate, centred on its roots, so --json and --batch build no
+Disk objects.  Each subcommand returns (exit status, payload, render);
+render() gives the text lines, built only when printed, solve's disks with them.
 _attempt turns a failure into a status, one stderr line and an empty render.
 Requests run with numpy's floating-point warnings off, so stderr carries only
 those lines.  Exit status: 0 on success, 2 on an unissued certificate in
@@ -59,9 +61,9 @@ def _complexes(values) -> list:
 def _complex_from_json(obj) -> complex:
     try:
         # complex() rejects a string here, but takes true and false as 1 and 0
-        if type(obj["re"]) is bool or type(obj["im"]) is bool:
+        if type(re := obj["re"]) is bool or type(im := obj["im"]) is bool:
             raise TypeError("re and im must be numbers")
-        return complex(obj["re"], obj["im"])
+        return complex(re, im)
     except (TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"bad complex entry {obj!r}: {exc}") from None
 
@@ -109,9 +111,10 @@ def _certificate_payload(cert) -> dict:
             "order": cert.order, "issued": cert.issued}
 
 
-def _disks_payload(disks, disjoint: bool) -> dict:
-    pairs = zip(_complexes([d.center for d in disks]), disks)
-    return {"disks": [{"center": c, "radius": d.radius} for c, d in pairs], "disjoint": disjoint}
+def _disks_payload(centres, radii, disjoint: bool) -> dict:
+    """The disks and disjoint fields: centres as _complexes writes them, one radius each."""
+    return {"disks": [{"center": c, "radius": r} for c, r in zip(centres, radii)],
+            "disjoint": disjoint}
 
 
 def _disk_lines(disks) -> list:
@@ -119,13 +122,18 @@ def _disk_lines(disks) -> list:
             for i, d in enumerate(disks)]
 
 
-def _result_to_json(result, disks) -> dict:
+def _result_to_json(result) -> dict:
+    """The payload of a solve.  Its disks are result.disks without a Disk
+    built: the final certificate was decided at result.final, so disk i is
+    centred on roots[i], with radius rho_i."""
+    roots, c = _complexes(result.final), result.final_certificate
+    radii = c.rho.tolist() if c is not None and c.issued else []
     return {
         "certificate": None if result.certificate is None
         else _certificate_payload(result.certificate),
         "converged": result.converged,
-        "roots": _complexes(result.final),
-        **_disks_payload(disks, result.disjoint),
+        "roots": roots,
+        **_disks_payload(roots, radii, result.disjoint),
         "iterations": result.iterations,
         "order_estimate": result.order_estimate,
     }
@@ -149,15 +157,14 @@ def _cmd_solve(args) -> tuple:
     def one(path) -> tuple:
         f, guess = _load_request(args, path)
         result = solve(f, init(f) if guess is None else guess, cfg)
-        disks = result.disks
-        payload = _result_to_json(result, disks)
+        payload = _result_to_json(result)
         return (2 if cfg.require_certificate and not result.certificate.issued else 0,
-                payload, lambda: _solve_lines(cfg, result, disks, payload["order_estimate"]))
+                payload, lambda: _solve_lines(cfg, result, payload["order_estimate"]))
 
     return _solve_batch(args, one) if args.batch else one(args.input)
 
 
-def _solve_lines(cfg: SolveConfig, result, disks, order) -> list:
+def _solve_lines(cfg: SolveConfig, result, order) -> list:
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
@@ -165,7 +172,7 @@ def _solve_lines(cfg: SolveConfig, result, disks, order) -> list:
         lines.append(f"certificate issued: {c.issued}   E0 = {c.E0:.6g}   "
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
-              for i, z in enumerate(result.final)] + _disk_lines(disks)
+              for i, z in enumerate(result.final)] + _disk_lines(result.disks)
     if order is not None:
         lines.append(f"order estimate: {order:.3f}")
     return lines
@@ -208,7 +215,8 @@ def _cmd_certify(args) -> tuple:
 
 def _cmd_disks(args) -> tuple:
     disks, disjoint = inclusion_disks(*_point_request(args))
-    return 0, _disks_payload(disks, disjoint), \
+    centres = _complexes([d.center for d in disks])
+    return 0, _disks_payload(centres, [d.radius for d in disks], disjoint), \
         lambda: [f"disjoint: {disjoint}"] + _disk_lines(disks)
 
 

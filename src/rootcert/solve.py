@@ -5,7 +5,6 @@ measurements, stopping rules and empirical convergence-order estimation.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,12 +103,14 @@ def estimate_order(trace: Sequence[Measurement]) -> Optional[float]:
     three e-values all lie in (1e-11, 1e-2); None with fewer than 2
     usable triples.
     """
-    e = [float(np.max(np.abs(m.w))) for m in trace]
-    ratios = [math.log(c / b) / math.log(b / a) for a, b, c in zip(e, e[1:], e[2:])
-              if all(1e-11 < v < 1e-2 for v in (a, b, c)) and math.log(b / a) != 0.0]
+    e = [float(np.abs(m.w).max()) for m in trace]
+    ratios = sorted(math.log(c / b) / math.log(b / a) for a, b, c in zip(e, e[1:], e[2:])
+                    if all(1e-11 < v < 1e-2 for v in (a, b, c)) and math.log(b / a) != 0.0)
     if len(ratios) < 2:
         return None
-    return float(statistics.median(ratios))
+    # the median as statistics.median takes it, which would load fractions and decimal
+    half = len(ratios) // 2
+    return ratios[half] if len(ratios) % 2 else (ratios[half - 1] + ratios[half]) / 2
 
 
 def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:

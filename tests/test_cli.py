@@ -684,7 +684,8 @@ class TestOutputForm:
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--batch"]],
                          ids=["text", "json", "batch"])
 def test_disks_built_once_per_solved_input(capsys, tmp_path, monkeypatch, mode):
-    # the payload and the text lines share one disk list and one test
+    # one disjointness test per solved input; the payload writes its disks
+    # from the final certificate, and only text mode builds a disk list
     calls = []
     for module in (sys.modules["rootcert.solve"], sys.modules["rootcert.certify"]):
         for name in ("disks_at", "disjoint_at"):
@@ -699,9 +700,9 @@ def test_disks_built_once_per_solved_input(capsys, tmp_path, monkeypatch, mode):
     else:
         argv, solved = ["solve", "--input", str(tmp_path / "a.json"), *mode], 1
     code, out, _ = run_cli(capsys, *argv)
-    # text mode renders one disk line per root from the same list
+    # only text mode renders disk lines, one per root
     assert code == 0 and out.count("disk[") == (0 if mode else 3)
-    assert sorted(calls) == ["disjoint_at"] * solved + ["disks_at"] * solved
+    assert sorted(calls) == ["disjoint_at"] * solved + ["disks_at"] * (0 if mode else solved)
 
 
 def test_main_reuses_parser_without_carrying_state(capsys):

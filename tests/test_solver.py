@@ -1,13 +1,18 @@
 import dataclasses
 import importlib
 import math
+import os
 from fractions import Fraction
 import pickle
+import statistics
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import rootcert
 import rootcert.measures as measures
 from rootcert import (
     BadExponent,
@@ -125,6 +130,26 @@ class TestEstimateOrder:
         assert all(1e-11 < v < 1e-2 for v in e)
         trace = _synthetic_trace([np.array([v]) for v in e])
         assert estimate_order(trace) == pytest.approx(2.0, abs=0.2)
+
+    @pytest.mark.parametrize("length", range(4, 10))
+    def test_median_is_statistics_median(self, length):
+        # length - 2 triples: an odd and an even count of ratios alike
+        e = [10.0 ** a for a in np.random.default_rng(length).uniform(-10.5, -2.5, length)]
+        trace = _synthetic_trace([np.array([v]) for v in e])
+        ratios = [math.log(c / b) / math.log(b / a) for a, b, c in zip(e, e[1:], e[2:])]
+        got = estimate_order(trace)
+        assert type(got) is float and got == statistics.median(ratios)
+
+    def test_import_does_not_load_statistics(self):
+        # statistics loads fractions and decimal; numpy loads none of the three
+        src = os.path.dirname(os.path.dirname(rootcert.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rootcert\n"
+             "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])"],
+            capture_output=True, text=True, check=True, env=env, timeout=60)
+        assert out.stdout == "[]\n"
 
 
 class TestSolve:
