@@ -11,9 +11,9 @@ payload, which only this module writes, as one line from json's C encoder (an
 indent selects the pure-Python one; python -m json.tool indents), with null
 for every float that is not finite.  A solve's payload writes its disks from
 the final certificate, centred on its roots, so --json and --batch build no
-Disk objects.  Each subcommand returns (exit status, payload, render);
-render() gives the text lines, built only when printed, solve's disks with them.
-_attempt turns a failure into a status, one stderr line and an empty render.
+Disk objects.  Each subcommand returns (exit status, output), built in the one
+form that prints: the payload under --json or --batch, else the text lines.
+_attempt turns a failure into a status, one stderr line and no output.
 Requests run with numpy's floating-point warnings off, so stderr carries only
 those lines.  Exit status: 0 on success, 2 on an unissued certificate in
 require-certificate mode, 1 on input and usage errors; a batch exits 1 if any
@@ -157,14 +157,15 @@ def _cmd_solve(args) -> tuple:
     def one(path) -> tuple:
         f, guess = _load_request(args, path)
         result = solve(f, init(f) if guess is None else guess, cfg)
-        payload = _result_to_json(result)
-        return (2 if cfg.require_certificate and not result.certificate.issued else 0,
-                payload, lambda: _solve_lines(cfg, result, payload["order_estimate"]))
+        return (2 if cfg.require_certificate and not result.certificate.issued else 0), result
 
-    return _solve_batch(args, one) if args.batch else one(args.input)
+    if args.batch:
+        return _solve_batch(args, one)
+    status, result = one(args.input)
+    return status, _result_to_json(result) if args.json else _solve_lines(cfg, result)
 
 
-def _solve_lines(cfg: SolveConfig, result, order) -> list:
+def _solve_lines(cfg: SolveConfig, result) -> list:
     lines = [f"method: {cfg.method.value}   converged: {result.converged}   "
              f"iterations: {result.iterations}"]
     if result.certificate is not None:
@@ -173,13 +174,13 @@ def _solve_lines(cfg: SolveConfig, result, order) -> list:
                      f"phi(E0) = {c.phi0:.6g}   tau = {c.bundle.tau:.6g}")
     lines += [f"root[{i}] = {z.real:+.15g} {z.imag:+.15g}j"
               for i, z in enumerate(result.final)] + _disk_lines(result.disks)
-    if order is not None:
+    if (order := result.order_estimate) is not None:
         lines.append(f"order estimate: {order:.3f}")
     return lines
 
 
 def _solve_batch(args, one) -> tuple:
-    """Map each JSON file of the directory, in name order, to one(path)."""
+    """Map each JSON file of the directory, in name order, to one(path)'s payload."""
     if args.coeffs is not None or args.guess is not None or args.input:
         raise InputError("--batch takes no --coeffs, --guess or --input")
     directory = Path(args.batch)
@@ -188,13 +189,12 @@ def _solve_batch(args, one) -> tuple:
         raise InputError(f"no JSON files in {directory}")
     results, statuses = {}, set()
     for path in files:
-        status, payload, _ = _attempt(one, path, f"{path.name}: ")
+        status, result = _attempt(one, path, f"{path.name}: ")
         statuses.add(status)
-        if payload is not None:
-            results[path.name] = payload
+        if result is not None:
+            results[path.name] = _result_to_json(result)
     # a failed file outranks an unissued certificate
-    status = 1 if 1 in statuses else max(statuses)
-    return status, results, lambda: [json.dumps(results)]
+    return (1 if 1 in statuses else max(statuses)), results
 
 
 def _point_request(args) -> tuple:
@@ -208,16 +208,18 @@ def _point_request(args) -> tuple:
 
 def _cmd_certify(args) -> tuple:
     cert = certify_initial(*_point_request(args))
-    return (0 if cert.issued else 2), {"certificate": _certificate_payload(cert)}, lambda: [
+    output = {"certificate": _certificate_payload(cert)} if args.json else [
         f"issued: {cert.issued}   strict: {cert.strict}",
         f"E0 = {cert.E0:.6g}   tau = {cert.bundle.tau:.6g}   phi(E0) = {cert.phi0:.6g}"]
+    return (0 if cert.issued else 2), output
 
 
 def _cmd_disks(args) -> tuple:
     disks, disjoint = inclusion_disks(*_point_request(args))
+    if not args.json:
+        return 0, [f"disjoint: {disjoint}"] + _disk_lines(disks)
     centres = _complexes([d.center for d in disks])
-    return 0, _disks_payload(centres, [d.radius for d in disks], disjoint), \
-        lambda: [f"disjoint: {disjoint}"] + _disk_lines(disks)
+    return 0, _disks_payload(centres, [d.radius for d in disks], disjoint)
 
 
 def _cmd_thresholds(args) -> tuple:
@@ -229,9 +231,8 @@ def _cmd_thresholds(args) -> tuple:
                 rows.append({"method": method.value,
                              "p": "inf" if math.isinf(p) else p,
                              "threshold": value})
-    return 0, {"n": args.n, "thresholds": rows}, lambda: [
-        f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}"
-        for r in rows]
+    return 0, {"n": args.n, "thresholds": rows} if args.json else [
+        f"{r['method']:<14} p={r['p']!s:<5} threshold={r['threshold']:.10g}" for r in rows]
 
 
 def _add_common(sub):
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attempt(cmd, args, prefix: str = "") -> tuple:
-    """(status, payload, render) of cmd(args); a failure instead prints one
-    stderr line, with prefix before its message, and gives no payload."""
+    """(status, output) of cmd(args); a failure instead prints one stderr
+    line, with prefix before its message, and gives no output."""
     try:
         return cmd(args)
     except NotCertified as exc:
@@ -300,7 +301,7 @@ def _attempt(cmd, args, prefix: str = "") -> tuple:
     except RootCertError as exc:
         status, line = 1, f"error: {prefix}{exc}"
     print(line, file=sys.stderr)
-    return status, None, lambda: []
+    return status, None
 
 
 def _request(argv) -> tuple:
@@ -308,15 +309,14 @@ def _request(argv) -> tuple:
     # overflow and NaN show in the output (E0 = inf, null in JSON) and in
     # the exit status; numpy's warnings would only repeat them on stderr
     with np.errstate(all="ignore"):
-        status, payload, render = args.func(args)
-    return status, payload, (lambda: [json.dumps(payload)]) if args.json else render
+        status, output = args.func(args)
+    for line in output if isinstance(output, list) else [json.dumps(output)]:
+        print(line)
+    return status, None
 
 
 def main(argv=None) -> int:
-    status, _, render = _attempt(_request, argv)
-    for line in render():
-        print(line)
-    return status
+    return _attempt(_request, argv)[0]
 
 
 if __name__ == "__main__":

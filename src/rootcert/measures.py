@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
-from .polynomials import Polynomial, _array, _finite, evaluate
+from .polynomials import Polynomial, _array, _finite, _vector, evaluate
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,7 @@ def _separations(diff: np.ndarray) -> np.ndarray:
 def separation(x) -> np.ndarray:
     """d_i(x) = min over j != i of |x_i - x_j| for x checked finite; a zero d_i
     (coinciding components) is left for the caller to reject."""
-    x = _array(x, "points must be finite")
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
-    return _separations(differences(_finite(x)))
+    return _separations(differences(_vector(x)))
 
 
 def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:

@@ -36,6 +36,14 @@ def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
     return x
 
 
+def _vector(x) -> np.ndarray:
+    """A complex128 copy of x, checked as a vector of at least 2 finite points."""
+    x = _array(x, "points must be finite")
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
+    return _finite(x)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Degree-n polynomial with complex coefficients, leading-first.
@@ -124,9 +132,10 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """Expand leading * prod(z - r_i) into a Polynomial.
 
     Repeated roots are allowed; the product is well-defined either way.
+    Roots and leading are checked finite before the expansion.
     """
     error = "coefficients must be finite"
-    roots, leading = _array(roots, error), _array(leading, error)
+    roots, leading = (_finite(_array(v, error), error) for v in (roots, leading))
     return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 
@@ -137,9 +146,7 @@ def viete(x) -> np.ndarray:
     polynomial with roots x; a vector x solves the Viete system of f
     exactly when viete(x) == f.coeffs[1:] / f.coeffs[0].
     """
-    x = _array(x, "points must be finite")
-    if x.size < 2:
-        raise ValueError("need at least 2 components")
+    x = _vector(x)
     coeffs = np.array([1.0 + 0.0j])
     for r in x:
         # multiply the running product by (z - r)

@@ -663,29 +663,40 @@ class TestOutputForm:
         assert run_cli(capsys, *argv) == (code, text, "")
 
     def test_json_and_batch_render_no_text(self, capsys, tmp_path, monkeypatch):
-        # the text of a solve is built only when it is printed
+        # each request builds only the output it prints: --json and --batch
+        # render no text, and text mode writes no payload
         _write_request(tmp_path / "a.json", [1, -6, 11, -6], [0.9, 2.1, 3.1])
         _write_request(tmp_path / "b.json", [1, 0, -4])
         single = ["solve", "--input", str(tmp_path / "a.json"), "--json"]
         batch = ["solve", "--batch", str(tmp_path)]
+        text = [[command, *single[1:-1]] for command in ("solve", "certify", "disks")]
         want = [run_cli(capsys, *single), run_cli(capsys, *batch)]
+        want_text = [run_cli(capsys, *argv) for argv in text]
 
-        def no_text(*args):
-            raise AssertionError("text rendered where it is not printed")
+        def not_printed(*args):
+            raise AssertionError("an output built where it is not printed")
 
-        monkeypatch.setattr(cli, "_solve_lines", no_text)
-        monkeypatch.setattr(cli, "_disk_lines", no_text)
+        monkeypatch.setattr(cli, "_solve_lines", not_printed)
+        monkeypatch.setattr(cli, "_disk_lines", not_printed)
         assert [run_cli(capsys, *single), run_cli(capsys, *batch)] == want
         assert [code for code, _, _ in want] == [0, 0]
-        with pytest.raises(AssertionError, match="text rendered"):
+        with pytest.raises(AssertionError, match="not printed"):
             main(single[:-1])
+        monkeypatch.undo()
+        for name in ("_result_to_json", "_certificate_payload", "_disks_payload"):
+            monkeypatch.setattr(cli, name, not_printed)
+        assert [run_cli(capsys, *argv) for argv in text] == want_text
+        assert [code for code, _, _ in want_text] == [0, 0, 0]
+        with pytest.raises(AssertionError, match="not printed"):
+            main(single)
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--batch"]],
                          ids=["text", "json", "batch"])
 def test_disks_built_once_per_solved_input(capsys, tmp_path, monkeypatch, mode):
-    # one disjointness test per solved input; the payload writes its disks
-    # from the final certificate, and only text mode builds a disk list
+    # one disjointness test per solved input where a payload prints its
+    # flag; the payload writes its disks from the final certificate, and
+    # only text mode, which prints no flag, builds a disk list
     calls = []
     for module in (sys.modules["rootcert.solve"], sys.modules["rootcert.certify"]):
         for name in ("disks_at", "disjoint_at"):
@@ -702,7 +713,7 @@ def test_disks_built_once_per_solved_input(capsys, tmp_path, monkeypatch, mode):
     code, out, _ = run_cli(capsys, *argv)
     # only text mode renders disk lines, one per root
     assert code == 0 and out.count("disk[") == (0 if mode else 3)
-    assert sorted(calls) == ["disjoint_at"] * solved + ["disks_at"] * (0 if mode else solved)
+    assert sorted(calls) == (["disjoint_at"] * solved if mode else ["disks_at"])
 
 
 def test_main_reuses_parser_without_carrying_state(capsys):

@@ -29,6 +29,7 @@ from rootcert import (
     separation,
     solve,
     tanabe_step,
+    viete,
     weierstrass_correction,
     weierstrass_step,
 )
@@ -102,9 +103,15 @@ def test_separation_needs_two_components():
 
 @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0, 2.0]], ids=["nan", "inf"])
 def test_separation_needs_finite_points(x):
-    # the rule every function of a point applies where the point enters
-    with pytest.raises(ValueError, match="points must be finite"):
+    # the rule every function of a point applies where the point enters;
+    # viete shares separation's check, and from_roots checks its roots as
+    # coefficients, before any arithmetic, so neither warns
+    with pytest.raises(ValueError, match="^points must be finite$"):
         separation(x)
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        viete(x)
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        from_roots(x)
 
 
 def test_weierstrass_correction_examples():

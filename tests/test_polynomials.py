@@ -152,8 +152,12 @@ def test_short_or_non_finite_coefficients_rejected(coeffs):
 
 
 def test_viete_needs_two_components():
-    with pytest.raises(ValueError):
-        viete([1.0])
+    # a vector of points, as separation checks it: a 2-D array is none
+    for x in ([1.0], [[1.0, 2.0], [3.0, 4.0]]):
+        for call in (viete, from_roots):
+            with pytest.raises(ValueError, match=r"^need a vector of at least 2 "
+                                                 r"components, got shape \("):
+                call(x)
 
 
 def test_derivatives_simple():

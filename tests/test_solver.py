@@ -620,9 +620,10 @@ def test_a_tolerance_beyond_binary64_is_rejected(value):
         SolveConfig(w_tol=value)
 
 
-# where no check rejects inf (evaluate and viete compute with it, and
-# from_roots meets a NaN product before its coefficients are checked), the
-# message is still the one that rejects an entry that is not finite
+# where no check rejects inf (evaluate computes with it), the message is
+# still the one that rejects an entry that is not finite; viete checks its
+# points, and from_roots its roots and leading as coefficients, before any
+# arithmetic
 NOT_FINITE = {
     "evaluate": (lambda v: evaluate(F, v), "points must be finite"),
     "evaluate vector": (lambda v: evaluate(F, [1, v]), "points must be finite"),
@@ -641,9 +642,10 @@ def test_a_real_beyond_binary64_meets_the_finite_check(call, message, value):
 
 
 def test_from_roots_rejects_inf_with_the_same_message():
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
-                                                      match=r"^coefficients must be finite$"):
+    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
         from_roots([1, INF])
+    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+        from_roots([1, 2], leading=INF)
 
 
 @pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])

@@ -31,11 +31,11 @@ each entry is its (exit status, stdout) pair, stderr dropped.  For the
 two smallest DEGREES and both seeds, a request file holds the Kac
 coefficients and one also the near point above: ``solve --json`` from
 the near point, certified, and from ``default_init`` with
-``--no-certificate``, both also in text mode, and ``certify --json`` and
-``disks --json`` at the near point.  Then ``thresholds --n 5 --json``,
-one ``solve --batch`` over the directory of those files, and a Tanabe
-request whose final iterate is (inf, -inf), so the JSON's rule for a
-float that is not finite is compared too.
+``--no-certificate``, and ``certify --json`` and ``disks --json`` at the
+near point, each also in text mode.  Then ``thresholds --n 5``, with
+``--json`` and in text, one ``solve --batch`` over the directory of those
+files, and a Tanabe request whose final iterate is (inf, -inf), so the
+JSON's rule for a float that is not finite is compared too.
 """
 
 from __future__ import annotations
@@ -183,11 +183,12 @@ def cli_grid() -> dict:
                         ("solve --no-certificate", ["solve", "--input", plain, "--no-certificate"]),
                         ("certify near", ["certify", "--input", at_near]),
                         ("disks near", ["disks", "--input", at_near])):
+                    # each mode builds only its own output, payload or text
                     out[f"{tag} cli {name} --json"] = _cli(argv + ["--json"])
-                    if name.startswith("solve"):
-                        # text mode renders the roots and builds its disks itself
-                        out[f"{tag} cli {name}"] = _cli(argv)
-        out["cli thresholds --n 5 --json"] = _cli(["thresholds", "--n", "5", "--json"])
+                    out[f"{tag} cli {name}"] = _cli(argv)
+        for end in ([], ["--json"]):
+            argv = ["thresholds", "--n", "5", *end]
+            out["cli " + " ".join(argv)] = _cli(argv)
         out["cli solve --batch"] = _cli(["solve", "--batch", tmp])
     # Tanabe's step overflows to a final iterate of (inf, -inf)
     argv = ["solve", "--coeffs", "1e-300,1,1", "--guess", "1e100,-1e100",
