@@ -47,31 +47,32 @@ class NormContext:
     b: float
 
 
-def _integer(name: str, v, low: int) -> int:
-    """int(v) by the one rule for an integer setting: an Integral, not a bool, >= low."""
-    if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-    return int(v)
-
-
 # shown for a real that float() rejects with OverflowError, whose repr may
 # run to thousands of digits
 _BEYOND = "a real beyond binary64"
 
 
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _setting(name: str, v, rule: str, ok, integer: bool = False, error=ValueError):
+    """int(v) or float(v) by the one rule for a numeric setting: an Integral
+    (integer) or a Real, not a bool, that float() holds and ok(float(v)) accepts;
+    else error("{name} must {rule}, got ..."), _BEYOND where float() overflows."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        if isinstance(v, kind) and not isinstance(v, bool) and ok(x := float(v)):
+            return int(v) if integer else x
+        shown = repr(v)
+    except OverflowError:
+        shown = _BEYOND
+    raise error(f"{name} must {rule}, got {shown}")
+
+
+def _integer(name: str, v, low: int) -> int:
+    return _setting(name, v, f"be an integer >= {low}", lambda x: x >= low, integer=True)
 
 
 def _exponent(p) -> float:
-    """float(p) by the one rule for an exponent: a real, not a bool, 1 <= p <= inf.
-    A finite p beyond binary64 is not inf, and fails it."""
-    try:
-        if _real(p) and not math.isnan(p := float(p)) and p >= 1:
-            return p
-    except OverflowError:
-        raise BadExponent(f"p must satisfy 1 <= p <= inf, got {_BEYOND}") from None
-    raise BadExponent(f"p must satisfy 1 <= p <= inf, got {p!r}")
+    """A finite p beyond binary64 is not inf, and fails 1 <= p <= inf."""
+    return _setting("p", p, "satisfy 1 <= p <= inf", lambda x: x >= 1, error=BadExponent)
 
 
 def norm_context(n: int, p: float) -> NormContext:
@@ -96,7 +97,7 @@ def p_norm(v, p: float) -> float:
     p = _exponent(p)
     if v.shape == (0,):
         return 0.0
-    if v.ndim != 1 or v.min() < 0.0:
+    if v.ndim != 1 or (v < 0.0).any():
         raise ValueError(f"p_norm needs a vector of entries >= 0, got shape {v.shape}")
     m = float(v.max())
     if m == 0.0 or math.isinf(m) or math.isinf(p):

@@ -13,8 +13,8 @@ import numpy as np
 from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, gauge_bundle
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
-from .measures import (_BEYOND, Measurement, _checked, _exponent, _integer, _measured,
-                       _real, norm_context, remember)
+from .measures import (Measurement, _checked, _exponent, _integer, _measured, _setting,
+                       norm_context, remember)
 from .polynomials import Polynomial, _finite
 
 
@@ -33,12 +33,7 @@ class SolveConfig:
             raise ValueError(f"method must be a MethodKind, got {self.method!r}")
         _exponent(self.p)
         _integer("max_iter", self.max_iter, 1)
-        try:
-            ok = _real(self.w_tol) and math.isfinite(self.w_tol) and self.w_tol > 0
-        except OverflowError:
-            raise ValueError(f"w_tol must be finite and > 0, got {_BEYOND}") from None
-        if not ok:
-            raise ValueError(f"w_tol must be finite and > 0, got {self.w_tol!r}")
+        _setting("w_tol", self.w_tol, "be finite and > 0", lambda t: math.isfinite(t) and t > 0)
         if not isinstance(rc := self.require_certificate, (bool, np.bool_)):
             raise ValueError(f"require_certificate must be a bool, got {rc!r}")
         if self.method is MethodKind.WEIERSTRASS and self.require_certificate:

@@ -287,6 +287,8 @@ class TestInputHandling:
         ["solve", "--coeffs", "1,0,-1", "--guess", "2,-2", "--seed", "3"],
         ["solve", "--coeffs", "1,,0,-1", "--guess", "2,-2"],
         ["solve", "--coeffs", "1,0,-1", "--guess", "2,,-2"],
+        ["thresholds", "--n", "1" + "0" * 400],
+        ["solve", "--coeffs", "1,0,-1", "--seed", "1" + "0" * 400],
     ])
     def test_out_of_range_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

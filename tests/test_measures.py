@@ -307,8 +307,10 @@ def test_p_norm_takes_norm_contexts_exponent_rule(p):
 
 
 @pytest.mark.parametrize("p", [1, 2, INF])
-@pytest.mark.parametrize("v", [[1, -5], [-1], [1.0, -INF], [[1, 2], [3, 4]]],
-                         ids=["negative-entry", "all-negative", "minus-inf", "matrix"])
+@pytest.mark.parametrize("v", [[1, -5], [-1], [1.0, -INF], [[1, 2], [3, 4]],
+                               [-1.0, np.nan], [np.nan, -1.0]],
+                         ids=["negative-entry", "all-negative", "minus-inf", "matrix",
+                              "negative-then-nan", "nan-then-negative"])
 def test_p_norm_takes_only_a_vector_of_entries_at_least_0(v, p):
     with pytest.raises(ValueError, match="p_norm needs a vector of entries >= 0"):
         p_norm(v, p)

@@ -25,6 +25,7 @@ from rootcert import (
     a_posteriori_bound_1,
     a_priori_bound,
     certify_initial,
+    corollary_threshold,
     default_init,
     e_measure,
     ehrlich_step_bs,
@@ -40,6 +41,7 @@ from rootcert import (
     solve,
     tanabe_step,
     viete,
+    w_contraction_bound,
     weierstrass_step,
 )
 from conftest import random_monic, well_separated_roots
@@ -610,6 +612,30 @@ def test_an_exponent_beyond_binary64_is_a_bad_exponent(call, value):
     # a finite p is not inf, however large: p = inf fixes a = n - 1, b = 2
     with pytest.raises(BadExponent, match=r"^p must satisfy 1 <= p <= inf, "
                                           r"got a real beyond binary64$"):
+        call(value)
+
+
+def _issued_at_2():
+    bundle = gauge_bundle(MethodKind.EHRLICH, norm_context(2, INF))
+    return certify_initial(F, [1.001, -1.001], bundle)
+
+
+# every integer setting passes the one rule: beyond binary64 it is named as
+# such (a Fraction is no integer, so only integers are tried)
+INTEGER_SETTINGS = {
+    **{f"norm_context p={p}": (lambda v, p=p: norm_context(v, p)) for p in (1, 2, INF)},
+    "corollary_threshold": lambda v: corollary_threshold(MethodKind.EHRLICH,
+                                                         norm_context(v, INF)),
+    "a_priori_bound": lambda v: a_priori_bound(_issued_at_2(), [1.0, 1.0], v),
+    "w_contraction_bound": lambda v: w_contraction_bound(_issued_at_2(), [1.0, 1.0], v),
+    "SolveConfig max_iter": lambda v: SolveConfig(max_iter=v),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("call", INTEGER_SETTINGS.values(), ids=INTEGER_SETTINGS)
+def test_an_integer_beyond_binary64_is_rejected(call, value):
+    with pytest.raises(ValueError, match=r"got a real beyond binary64$"):
         call(value)
 
 

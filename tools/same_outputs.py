@@ -36,16 +36,25 @@ near point, each also in text mode.  Then ``thresholds --n 5``, with
 ``--json`` and in text, one ``solve --batch`` over the directory of those
 files, and a Tanabe request whose final iterate is (inf, -inf), so the
 JSON's rule for a float that is not finite is compared too.
+
+Last, each numeric setting that the library rejects is one entry, the
+error it raises: ``norm_context`` at n = 1 and n = 10**400 for p = 1, 2
+and inf, and at p = 0, 0.5, nan, Fraction(1, 2) and 10**400; ``p_norm``
+at p = 0; ``SolveConfig`` at max_iter = 0 and 10**400, at w_tol = 0, -1,
+inf and 10**400, and at p = True; ``a_priori_bound`` at k = -1 and
+10**400; and ``w_contraction_bound`` at k = 10**400.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 DEGREES = (8, 33, 64, 128, 129, 256, 257, 300, 385, 512)
 SEEDS = (1, 2)
@@ -61,6 +70,8 @@ def _bits(v):
         return np.complex128(v).tobytes()
     if isinstance(v, BaseException):
         return type(v).__name__, str(v)
+    if isinstance(v, enum.Enum):  # unpickled where rootcert is not importable
+        return type(v).__name__, v.value
     if dataclasses.is_dataclass(v):
         cls = type(v)
         names = {fl.name for fl in dataclasses.fields(v)} | {
@@ -197,6 +208,34 @@ def cli_grid() -> dict:
     return {name: _bits(v) for name, v in out.items()}
 
 
+def settings_grid() -> dict:
+    """The error each rejected numeric setting raises, by entry name, as exact bytes."""
+    import rootcert as rc
+
+    def shown(v):  # repr, but 10**400 by name: its repr has 401 digits
+        return "10**400" if v == 10**400 else repr(v)
+
+    f = rc.Polynomial([1, 0, -1])
+    bundle = rc.gauge_bundle(rc.MethodKind.EHRLICH, rc.norm_context(2, math.inf))
+    cert = rc.certify_initial(f, [1.001, -1.001], bundle)
+    calls = {}
+    for n in (1, 10**400):
+        for p in (1, 2, math.inf):
+            calls[f"norm_context n={shown(n)} p={p}"] = lambda n=n, p=p: rc.norm_context(n, p)
+    for p in (0, 0.5, math.nan, Fraction(1, 2), 10**400):
+        calls[f"norm_context p={shown(p)}"] = lambda p=p: rc.norm_context(4, p)
+    calls["p_norm p=0"] = lambda: rc.p_norm([1.0, 2.0], 0)
+    for name, values in (("max_iter", (0, 10**400)), ("w_tol", (0, -1, math.inf, 10**400)),
+                         ("p", (True,))):
+        for v in values:
+            calls[f"SolveConfig {name}={shown(v)}"] = lambda kw={name: v}: rc.SolveConfig(**kw)
+    for k in (-1, 10**400):
+        calls[f"a_priori_bound k={shown(k)}"] = lambda k=k: rc.a_priori_bound(cert, [1.0, 1.0], k)
+    calls["w_contraction_bound k=10**400"] = (
+        lambda: rc.w_contraction_bound(cert, [1.0, 1.0], 10**400))
+    return {f"setting {name}": _bits(_run(call)) for name, call in calls.items()}
+
+
 def _dump() -> None:
     """Run the grid and write it, pickled, to stdout."""
     import numpy as np
@@ -206,7 +245,7 @@ def _dump() -> None:
     if not os.path.realpath(rootcert.__file__).startswith(src + os.sep):
         raise SystemExit(f"rootcert came from {rootcert.__file__}, not {src}")
     with np.errstate(all="ignore"):
-        entries = {**grid(), **cli_grid()}
+        entries = {**grid(), **cli_grid(), **settings_grid()}
     sys.stdout.buffer.write(pickle.dumps(entries))
 
 
