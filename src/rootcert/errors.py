@@ -11,7 +11,7 @@ class LeadingCoefficientZero(RootCertError, ValueError):
 
 
 class DegreeMismatch(RootCertError, ValueError):
-    """Vector length does not match the polynomial degree."""
+    """A point is not a vector of at least 2 components, or not f.degree long."""
 
 
 class NonDistinctComponents(RootCertError):

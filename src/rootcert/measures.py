@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, DegreeMismatch, NonDistinctComponents
-from .polynomials import Polynomial, _array, _finite, _vector, evaluate
+from .polynomials import Polynomial, _array, _vector, evaluate
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,11 @@ class Measurement:
 
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
-    """A complex128 copy of x, a vector of n = ctx.n = f.degree finite points."""
-    x = _array(x, "points must be finite")
-    if x.ndim != 1:
-        raise DegreeMismatch(f"points must form a vector, got shape {x.shape}")
+    """_vector(x), a copy, where it has n = ctx.n = f.degree points."""
+    x = _vector(x)
     if not x.size == ctx.n == f.degree:
         raise DegreeMismatch(f"{x.size} points and n = {ctx.n} for degree {f.degree}")
-    return _finite(x)
+    return x
 
 
 def _measurement(x, w, d, ctx: NormContext) -> Measurement:

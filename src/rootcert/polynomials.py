@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LeadingCoefficientZero
+from .errors import DegreeMismatch, LeadingCoefficientZero
 
 # evaluate combines its chunks by Horner's scheme in z**_BLOCK, which it
 # forms by _SQUARINGS squarings
@@ -37,10 +37,10 @@ def _finite(x: np.ndarray, error: str = "points must be finite") -> np.ndarray:
 
 
 def _vector(x) -> np.ndarray:
-    """A complex128 copy of x, checked as a vector of at least 2 finite points."""
+    """A complex128 copy of x, a vector (else DegreeMismatch) of at least 2 finite points."""
     x = _array(x, "points must be finite")
     if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"need a vector of at least 2 components, got shape {x.shape}")
+        raise DegreeMismatch(f"need a vector of at least 2 components, got shape {x.shape}")
     return _finite(x)
 
 
@@ -132,10 +132,12 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """Expand leading * prod(z - r_i) into a Polynomial.
 
     Repeated roots are allowed; the product is well-defined either way.
-    Roots and leading are checked finite before the expansion.
+    Roots and leading (one number) are checked finite before the expansion.
     """
     error = "coefficients must be finite"
     roots, leading = (_finite(_array(v, error), error) for v in (roots, leading))
+    if leading.ndim != 0:
+        raise ValueError(f"leading must be one number, got shape {leading.shape}")
     return Polynomial(leading * np.concatenate([[1.0 + 0.0j], viete(roots)]))
 
 

@@ -77,16 +77,14 @@ def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
     """Aberth-style starting points: n points equally spaced on a circle
     centered at the coefficient centroid -C_1/(n C_0), with radius
     1 + max_i |C_i/C_0|**(1/i) and a rotation to break symmetry.
-    Pairwise distinct by construction; a ValueError where not finite."""
+    Pairwise distinct by construction; a ValueError where not finite (rotation too)."""
+    rotation = _setting("rotation", rotation, "be a finite real", math.isfinite)
     n, error = f.degree, "default_init: the starting circle is not finite for these coefficients"
     with np.errstate(all="ignore"):  # an overflow is reported by the ValueError
         c = f.coeffs / f.coeffs[0]
         center = -c[1] / n
         radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
-        try:
-            angles = 2.0 * np.pi * np.arange(n) / n + rotation
-        except OverflowError:  # a rotation beyond binary64, as an infinite one
-            raise ValueError(error) from None
+        angles = 2.0 * np.pi * np.arange(n) / n + rotation
         return _finite(center + radius * np.exp(1j * angles), error)
 
 

@@ -131,26 +131,38 @@ def test_weierstrass_correction_errors():
 
 
 def test_points_must_form_a_vector():
-    # as many points as the degree, but in a 2 x 2 array: every measured
-    # path rejects the shape, not components it misreads as coinciding
+    # one rule and one message for the shape of a point: as many points as
+    # the degree in a 2 x 2 or 1 x 4 array, or too few in a vector, are each
+    # rejected by the shape, not components misread as coinciding
     f = from_roots([1, -1, 2j, -2j])
-    x = np.array([[1.1, -1.1], [2.1j, -2.1j]])
+    good = np.array([1.01, -1.01, 2.01j, -2.01j])
     ctx = norm_context(4, INF)
     bundle = gauge_bundle(MethodKind.EHRLICH, ctx)
-    measured = [
-        lambda: measure(f, x, ctx),
-        lambda: solve(f, x),
-        lambda: weierstrass_step(f, x),
-        lambda: ehrlich_step_bs(f, x),
-        lambda: tanabe_step(f, x),
-        lambda: certify_initial(f, x, bundle),
-        lambda: inclusion_disks(f, x, bundle),
-    ]
-    for call in measured:
-        with pytest.raises(DegreeMismatch, match="vector"):
-            call()
-    with pytest.raises(ValueError, match="vector"):
-        separation(x)
+    assert certify_initial(f, good, bundle).issued
+    shapes = [np.array([[1.1, -1.1], [2.1j, -2.1j]]), np.array([1.1]), np.array([]),
+              np.array([[1.1, -1.1, 2.1j, -2.1j]])]
+    for x in shapes:
+        calls = [
+            lambda: measure(f, x, ctx),
+            lambda: weierstrass_correction(f, x),
+            lambda: e_measure(f, x, ctx),
+            lambda: solve(f, x),
+            lambda: weierstrass_step(f, x),
+            lambda: ehrlich_step_bs(f, x),
+            lambda: tanabe_step(f, x),
+            lambda: certify_initial(f, x, bundle),
+            lambda: a_posteriori_bound_1(f, x, bundle),
+            lambda: a_posteriori_bound_2(f, x, good, bundle),
+            lambda: a_posteriori_bound_2(f, good, x, bundle),
+            lambda: inclusion_disks(f, x, bundle),
+            lambda: separation(x),
+            lambda: viete(x),
+            lambda: from_roots(x),
+        ]
+        for call in calls:
+            with pytest.raises(DegreeMismatch, match=r"^need a vector of at least 2 "
+                                                     r"components, got shape \("):
+                call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

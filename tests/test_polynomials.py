@@ -160,6 +160,16 @@ def test_viete_needs_two_components():
                 call(x)
 
 
+@pytest.mark.parametrize("leading", [[1.0, 2.0, 3.0], [[2.0]], np.array([2.0])],
+                         ids=["list", "2-D", "array of one"])
+def test_from_roots_takes_one_leading_number(leading):
+    # a list would broadcast against the Viete coefficients: [1, 2] with
+    # leading [1, 2, 3] gave z**2 - 6z + 6, whose roots are 3 +- sqrt(3)
+    with pytest.raises(ValueError, match=r"^leading must be one number, got shape \("):
+        from_roots([1, 2], leading=leading)
+    assert from_roots([1, 2], leading=np.float64(2.0)) == Polynomial([2, -6, 4])
+
+
 def test_derivatives_simple():
     f = Polynomial([1, 0, -1])
     assert evaluate_with_derivatives(f, 2) == (3, 4, 2)

@@ -589,7 +589,6 @@ MUST_BE_FINITE = {
     "e_measure": lambda v: e_measure(F, [1, v], norm_context(2, INF)),
     "solve": lambda v: solve(F, [1, v]),
     "separation": lambda v: separation([1, v]),
-    "default_init": lambda v: default_init(F, rotation=v),
 }
 
 
@@ -637,6 +636,31 @@ INTEGER_SETTINGS = {
 def test_an_integer_beyond_binary64_is_rejected(call, value):
     with pytest.raises(ValueError, match=r"got a real beyond binary64$"):
         call(value)
+
+
+# default_init's rotation passes the one rule as a finite real: a complex,
+# a bool, a string, None, a list or an array is none, and beyond binary64
+# is named so
+BAD_ROTATIONS = {
+    "inf": (INF, "inf"), "-inf": (-INF, "-inf"), "nan": (math.nan, "nan"),
+    "1j": (1j, "1j"), "True": (True, "True"), "str": ("0.4", "'0.4'"),
+    "None": (None, "None"), "list": ([0.1, 0.2], r"\[0.1, 0.2\]"),
+    "0-d array": (np.array(0.4), r"array\(0.4\)"),
+    **{name: (v, "a real beyond binary64")
+       for name, v in zip(["1e400", "-1e400", "fraction"], BEYOND)},
+}
+
+
+@pytest.mark.parametrize("value, shown", BAD_ROTATIONS.values(), ids=BAD_ROTATIONS)
+def test_a_rotation_must_be_a_finite_real(value, shown):
+    with pytest.raises(ValueError, match=f"^rotation must be a finite real, got {shown}$"):
+        default_init(F, rotation=value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), np.float32(0.4)], ids=["fraction", "float32"])
+def test_a_real_rotation_gives_the_points_of_its_float(value):
+    np.testing.assert_array_equal(default_init(F, rotation=value),
+                                  default_init(F, rotation=float(value)))
 
 
 @pytest.mark.parametrize("value", BEYOND, ids=["1e400", "-1e400", "fraction"])

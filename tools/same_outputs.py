@@ -37,12 +37,18 @@ near point, each also in text mode.  Then ``thresholds --n 5``, with
 files, and a Tanabe request whose final iterate is (inf, -inf), so the
 JSON's rule for a float that is not finite is compared too.
 
-Last, each numeric setting that the library rejects is one entry, the
-error it raises: ``norm_context`` at n = 1 and n = 10**400 for p = 1, 2
-and inf, and at p = 0, 0.5, nan, Fraction(1, 2) and 10**400; ``p_norm``
-at p = 0; ``SolveConfig`` at max_iter = 0 and 10**400, at w_tol = 0, -1,
-inf and 10**400, and at p = True; ``a_priori_bound`` at k = -1 and
-10**400; and ``w_contraction_bound`` at k = 10**400.
+Last, each numeric setting and point that the library rejects is one
+entry, the error it raises: ``norm_context`` at n = 1 and n = 10**400 for
+p = 1, 2 and inf, and at p = 0, 0.5, nan, Fraction(1, 2) and 10**400;
+``p_norm`` at p = 0; ``SolveConfig`` at max_iter = 0 and 10**400, at
+w_tol = 0, -1, inf and 10**400, and at p = True; ``a_priori_bound`` at
+k = -1 and 10**400; ``w_contraction_bound`` at k = 10**400;
+``default_init`` at rotation = inf, -inf, nan, 1j, True, "0.4", None,
+[0.1, 0.2], 10**400, -10**400, Fraction(1, 3) and np.array(0.4);
+``measure``, ``solve``, ``separation`` and ``viete`` at points of shape
+(2, 2), (1,), (0,) and (1, 4); ``measure`` at three points, one nan, for
+degree 2; and ``from_roots`` with a leading of [1.0, 2.0, 3.0], [[2.0]]
+and np.array([2.0]).
 """
 
 from __future__ import annotations
@@ -209,11 +215,14 @@ def cli_grid() -> dict:
 
 
 def settings_grid() -> dict:
-    """The error each rejected numeric setting raises, by entry name, as exact bytes."""
+    """The error each rejected setting or point raises, by entry name, as exact bytes."""
+    import numpy as np
     import rootcert as rc
 
-    def shown(v):  # repr, but 10**400 by name: its repr has 401 digits
-        return "10**400" if v == 10**400 else repr(v)
+    def shown(v):  # repr, but +-10**400 by name: its repr has 401 digits
+        if isinstance(v, int) and abs(v) == 10**400:
+            return ("-" if v < 0 else "") + "10**400"
+        return repr(v)
 
     f = rc.Polynomial([1, 0, -1])
     bundle = rc.gauge_bundle(rc.MethodKind.EHRLICH, rc.norm_context(2, math.inf))
@@ -233,6 +242,21 @@ def settings_grid() -> dict:
         calls[f"a_priori_bound k={shown(k)}"] = lambda k=k: rc.a_priori_bound(cert, [1.0, 1.0], k)
     calls["w_contraction_bound k=10**400"] = (
         lambda: rc.w_contraction_bound(cert, [1.0, 1.0], 10**400))
+    for r in (math.inf, -math.inf, math.nan, 1j, True, "0.4", None, [0.1, 0.2], 10**400,
+              -10**400, Fraction(1, 3), np.array(0.4)):
+        calls[f"default_init rotation={shown(r)}"] = lambda r=r: rc.default_init(f, rotation=r)
+    ctx = rc.norm_context(2, math.inf)
+    for x in ([[1.0, 2.0], [3.0, 4.0]], [1.0], [], [[1.0, -1.0, 2.0, -2.0]]):
+        shape = np.shape(x)
+        calls[f"measure shape={shape}"] = lambda x=x: rc.measure(f, x, ctx)
+        calls[f"solve shape={shape}"] = lambda x=x: rc.solve(f, x)
+        calls[f"separation shape={shape}"] = lambda x=x: rc.separation(x)
+        calls[f"viete shape={shape}"] = lambda x=x: rc.viete(x)
+    # a point is checked finite before its count is
+    calls["measure 3 points with nan"] = lambda: rc.measure(f, [1.0, 2.0, math.nan], ctx)
+    for name, leading in (("list", [1.0, 2.0, 3.0]), ("2-D", [[2.0]]),
+                          ("array of one", np.array([2.0]))):
+        calls[f"from_roots leading {name}"] = lambda v=leading: rc.from_roots([1, 2], v)
     return {f"setting {name}": _bits(_run(call)) for name, call in calls.items()}
 
 
