@@ -39,6 +39,11 @@ from .polynomials import Polynomial
 from .solve import SolveConfig, default_init, solve
 
 
+# writes every payload; a payload holds no cycle, so the encoder skips the
+# check for one, and its bytes are json.dumps's
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 class InputError(ValueError):
     pass
 
@@ -310,7 +315,7 @@ def _request(argv) -> tuple:
     # the exit status; numpy's warnings would only repeat them on stderr
     with np.errstate(all="ignore"):
         status, output = args.func(args)
-    for line in output if isinstance(output, list) else [json.dumps(output)]:
+    for line in output if isinstance(output, list) else [_ENCODER.encode(output)]:
         print(line)
     return status, None
 

@@ -99,6 +99,11 @@ def p_norm(v, p: float) -> float:
         return 0.0
     if v.ndim != 1 or (v < 0.0).any():
         raise ValueError(f"p_norm needs a vector of entries >= 0, got shape {v.shape}")
+    return _norm(v, p)
+
+
+def _norm(v: np.ndarray, p: float) -> float:
+    """p_norm of a nonempty float vector v >= 0 at a p already checked."""
     m = float(v.max())
     if m == 0.0 or math.isinf(m) or math.isinf(p):
         return m
@@ -115,15 +120,23 @@ def differences(x) -> np.ndarray:
     a time in a scalar loop, several times slower.
     """
     x = np.asarray(x, dtype=np.complex128)
-    diff = x[None, :] - x[:, None]
-    np.fill_diagonal(diff, 1.0)
+    # x in every row, then each row's x_j taken off in place: broadcasting
+    # both operands of one subtraction would make numpy buffer each of them
+    diff = x.reshape(1, -1).repeat(x.size, axis=0)
+    diff -= x[:, None]
+    _diagonal(diff)[...] = 1.0
     return diff
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The diagonal of a C-contiguous square array, a view of its flat memory."""
+    return a.reshape(-1)[:: a.shape[0] + 1]
 
 
 def _separations(diff: np.ndarray) -> np.ndarray:
     """d_i = min over j != i of |x_i - x_j|, reduced from diff = differences(x)."""
     gaps = np.abs(diff)
-    np.fill_diagonal(gaps, np.inf)
+    _diagonal(gaps)[...] = np.inf
     return gaps.min(axis=0)
 
 
@@ -137,7 +150,7 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """sigma_i = sum over j != i of W_j / (x_i - x_j), all i at once,
     from W and diff = differences(x), which it overwrites: its last reader."""
     np.divide(w[:, None], diff, out=diff)
-    np.fill_diagonal(diff, 0.0)
+    _diagonal(diff)[...] = 0.0
     return diff.sum(axis=0)
 
 
@@ -163,7 +176,7 @@ def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
 def _measurement(x, w, d, ctx: NormContext) -> Measurement:
     for a in (x, w, d):
         a.setflags(write=False)
-    return Measurement(x=x, w=w, d=d, E=p_norm(np.abs(w) / d, ctx.p))
+    return Measurement(x=x, w=w, d=d, E=_norm(np.abs(w) / d, ctx.p))
 
 
 def _measured(f: Polynomial, x, ctx: NormContext):

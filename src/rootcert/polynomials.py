@@ -6,16 +6,12 @@ All arithmetic is complex binary64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegreeMismatch, LeadingCoefficientZero
-
-# evaluate combines its chunks by Horner's scheme in z**_BLOCK, which it
-# forms by _SQUARINGS squarings
-_SQUARINGS = 4
-_BLOCK = 2 ** _SQUARINGS
 
 
 def _array(v, error: str, dtype=np.complex128) -> np.ndarray:
@@ -56,8 +52,8 @@ class Polynomial:
     """
 
     coeffs: np.ndarray = field()
-    # (nb, B) chunks of the coefficients for evaluate, B = min(16, n + 1),
-    # leading-first; the top chunk is padded with leading zeros
+    # (nb, B) chunks of the coefficients for evaluate, leading-first; the
+    # top chunk is padded with leading zeros
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,13 +61,18 @@ class Polynomial:
         # to it reaches coeffs, blocks or the hash
         c = _array(self.coeffs, "coefficients must be finite")
         if c.ndim != 1 or c.size < 3:
-            raise ValueError("need at least 3 coefficients (degree >= 2)")
+            raise ValueError("need a vector of at least 3 coefficients (degree >= 2), "
+                             f"got shape {c.shape}")
         if c[0] == 0:
             raise LeadingCoefficientZero("leading coefficient is zero")
         _finite(c, "coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        width = min(_BLOCK, c.size)
+        # all n + 1 coefficients up to 16, so evaluate is plain Horner; else
+        # the power of two nearest sqrt(n + 1) (a tie, at n + 1 = 2**(2k+1),
+        # to the even exponent), whose (B - 1) + log2(B) + (nb - 1) passes
+        # are within one of the fewest at every n <= 2048
+        width = c.size if c.size <= 16 else 2 ** round(math.log2(c.size) / 2)
         nb = -(-c.size // width)
         blocks = np.concatenate([np.zeros(nb * width - c.size, dtype=np.complex128), c])
         blocks = blocks.reshape(nb, width)
@@ -102,15 +103,16 @@ class Polynomial:
 def evaluate(f: Polynomial, z):
     """Evaluate f at z (scalar or array) by blocked Horner.
 
-    The nb chunks of ``f.blocks`` run their Horner recurrences side by
-    side, and the chunk values are combined by Horner's scheme in z**16.
-    With n + 1 <= 16 there is one chunk and this is the plain recurrence.
+    The nb chunks of width B of ``f.blocks`` run their Horner recurrences
+    side by side, and the chunk values are combined by Horner's scheme in
+    z**B, formed by log2(B) squarings.  With n + 1 <= 16 there is one chunk
+    and this is the plain recurrence.
     Every product multiplies two contiguous arrays of the same shape:
     numpy rounds a broadcast complex product differently from a
     contiguous one, and this keeps scalar and array calls bitwise equal.
     """
     z = _array(z, "points must be finite")
-    nb = f.blocks.shape[0]
+    nb, width = f.blocks.shape
     zz = z.reshape(1, -1).repeat(nb, axis=0)
     acc = f.blocks[:, :1].repeat(z.size, axis=1)
     for col in f.blocks.T[1:, :, None]:
@@ -121,7 +123,7 @@ def evaluate(f: Polynomial, z):
     value = acc[0]
     if nb > 1:
         zb = zz[0]
-        for _ in range(_SQUARINGS):
+        for _ in range(width.bit_length() - 1):
             zb = zb * zb
         for chunk in acc[1:]:
             value = value * zb + chunk

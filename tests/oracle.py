@@ -96,11 +96,12 @@ def horner(f: Polynomial, z):
 def blocked_horner(f: Polynomial, z):
     """f at z (scalar or array) by the blocked Horner scheme, written as
     ``evaluate`` first wrote it: each chunk pass forms its product and its
-    broadcast sum as fresh arrays, and the chunks combine by Horner's
-    scheme in z**16, formed by four squarings.  The rounding sequence that
-    ``evaluate`` must keep, product for product, above degree 15."""
+    broadcast sum as fresh arrays, and the chunks of width B combine by
+    Horner's scheme in z**B, formed by log2(B) squarings, B read from
+    ``f.blocks``.  The rounding sequence that ``evaluate`` must keep,
+    product for product, above degree 15."""
     z = np.asarray(z, dtype=np.complex128)
-    nb = f.blocks.shape[0]
+    nb, width = f.blocks.shape
     zz = np.tile(z.reshape(1, -1), (nb, 1))
     acc = np.repeat(f.blocks[:, :1], z.size, axis=1)
     for col in f.blocks.T[1:, :, None]:
@@ -108,7 +109,7 @@ def blocked_horner(f: Polynomial, z):
     value = acc[0]
     if nb > 1:
         zb = zz[0]
-        for _ in range(4):
+        for _ in range(int(np.log2(width))):
             zb = zb * zb
         for chunk in acc[1:]:
             value = value * zb + chunk

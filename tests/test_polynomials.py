@@ -85,11 +85,18 @@ def test_evaluate_scalar_calls_equal_array_call(n):
                                   got[:40].reshape(4, 10))
 
 
-@pytest.mark.parametrize("n", [16, 17, 64, 128, 256])
+@pytest.mark.parametrize("n", [16, 17, 64, 128, 256, 512])
 def test_evaluate_error_within_blocked_horner_bound(n):
-    # |fl(f(z)) - f(z)| <= gamma_{2(n+16)} * sum |a_i| |z|^i against the
-    # exact value of the binary64 polynomial at the binary64 point
+    # |fl(f(z)) - f(z)| <= gamma_K * sum |a_i| |z|^i against the exact value
+    # of the binary64 polynomial at the binary64 point, where a term meets at
+    # most K = 2(B - 1) + (nb - 1)(B + 1) roundings: 2(B - 1) in its chunk's
+    # recurrence, and per combination step the B - 1 of fl(z**B), a product
+    # and a sum (Higham, 2nd ed., section 5.1).  At these degrees K is at
+    # most the 2(n + 16) that a fixed B = 16 was held to.
     f = random_monic(n, np.random.default_rng([1, n]))
+    nb, width = f.blocks.shape
+    k = 2 * (width - 1) + (nb - 1) * (width + 1)
+    assert k <= 2 * (n + 16)
     roots = np.roots(f.coeffs)
     step = max(1, n // 12)
     points = np.concatenate([default_init(f)[::step], (roots + 1e-9)[::step]])
@@ -104,13 +111,18 @@ def test_evaluate_error_within_blocked_horner_bound(n):
             scale = mpmath.polyval(abs_coeffs, abs(z))
             err = abs(mpmath.mpc(fz.real, fz.imag) - exact) / scale
             worst = max(worst, float(err))
-    assert worst <= 2 * (n + 16) * 2.0 ** -53
+    assert worst <= k * 2.0 ** -53
 
 
-@pytest.mark.parametrize("n", [2, 15, 16, 17, 40])
+# the chunk width B of each degree n: all n + 1 coefficients up to degree
+# 15, above that the power of two nearest sqrt(n + 1)
+WIDTHS = {2: 3, 15: 16, 16: 4, 17: 4, 40: 8, 126: 8, 127: 16, 511: 16, 512: 32}
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 def test_blocks_layout(n):
     f = random_monic(n, np.random.default_rng(n))
-    width = min(16, n + 1)
+    width = WIDTHS[n]
     nb = -(-(n + 1) // width)
     assert f.blocks.shape == (nb, width)
     pad = nb * width - (n + 1)
@@ -122,6 +134,24 @@ def test_blocks_layout(n):
     # out of == and repr
     assert [fl.name for fl in fields(Polynomial) if fl.compare] == ["coeffs"]
     assert repr(f) == "Polynomial(coeffs=" + repr(f.coeffs) + ")"
+
+
+def test_width_is_within_one_pass_of_the_fewest():
+    # with nb chunks of width B, a power of two, evaluate makes B - 1 chunk
+    # passes, log2(B) squarings and nb - 1 combination passes
+    def passes(n, width):
+        return width - 1 + width.bit_length() - 1 + -(-(n + 1) // width) - 1
+
+    for n in range(2, 2049):
+        nb, width = Polynomial(np.ones(n + 1)).blocks.shape
+        if n <= 15:
+            # one chunk: plain Horner
+            assert (nb, width) == (1, n + 1)
+            continue
+        assert width & (width - 1) == 0
+        assert passes(n, width) <= min(passes(n, 2 ** s) for s in range(12)) + 1
+        if 127 <= n <= 511:
+            assert width == 16
 
 
 def test_value_equality_and_hash():
@@ -149,6 +179,16 @@ def test_coefficients_are_copied():
 def test_short_or_non_finite_coefficients_rejected(coeffs):
     with pytest.raises(ValueError):
         Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, shape", [(np.ones((2, 3)), "(2, 3)"),
+                                          ([[1, 0, -1]], "(1, 3)")], ids=["2x3", "1x3"])
+def test_coefficients_must_form_a_vector(coeffs, shape):
+    # both hold 3 coefficients or more: the message names the shape
+    with pytest.raises(ValueError) as exc:
+        Polynomial(coeffs)
+    assert str(exc.value) == ("need a vector of at least 3 coefficients (degree >= 2), "
+                              f"got shape {shape}")
 
 
 def test_viete_needs_two_components():

@@ -11,7 +11,9 @@ any, else 0; it is 2 where a tree fails to run the grid.
 
 The grid: Kac polynomials (non-leading coefficients uniform in the unit
 square, as ``tests/conftest.random_monic``) of the degrees in DEGREES for
-seeds 1 and 2.  On each, ``solve`` runs uncertified with every method from
+seeds 1 and 2; between them they take every chunk width B of
+``evaluate``: plain Horner (8), 4 (20), 8 (33, 64), 16 (128 to 385) and
+32 (512).  On each, ``solve`` runs uncertified with every method from
 ``default_init``, and certified with each certifiable method from a point
 near the uncertified Ehrlich run's final iterate; right after each, the
 corrections W at that start point and ``a_posteriori_bound_1`` at its
@@ -62,7 +64,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-DEGREES = (8, 33, 64, 128, 129, 256, 257, 300, 385, 512)
+DEGREES = (8, 20, 33, 64, 128, 129, 256, 257, 300, 385, 512)
 SEEDS = (1, 2)
 
 
