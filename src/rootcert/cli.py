@@ -89,8 +89,10 @@ def _load_request(args, path) -> tuple:
     coeffs = guess = None
     if path:
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            # bytes, so JSON's own encoding detection (a UTF-8 BOM, UTF-16
+            # or UTF-32) applies instead of the locale's text decoding
+            data = json.loads(Path(path).read_bytes())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read the input file: {exc}") from None
         if not isinstance(data, dict) or "coeffs" not in data:
             raise InputError("the input file is not an object with a field 'coeffs'")

@@ -5,8 +5,10 @@ that W was reduced from to the next iterate: Weierstrass, Ehrlich in the
 Boersch-Supan form and Presic-Tanabe read m.x, W = m.w and D, and are D's
 last readers, as sigma overwrites D.  Dochev-Byrnev runs through the
 Tanabe map, since the two methods are identical.  The public
-``*_step(f, x)`` functions measure x afresh and apply the same map; each
-maps an exact root vector to itself bitwise, since W is then zero.
+``*_step(f, x)`` functions measure x afresh and apply the same map; no
+map reads d, so they reduce it only to reject coinciding components, where
+a product in W is 0 or not finite.  Each maps an exact root vector to
+itself bitwise, since W is then zero.
 The algebraically identical reference forms are test oracles in
 ``tests/oracle.py``, not part of the package.
 """

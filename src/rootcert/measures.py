@@ -2,15 +2,24 @@
 initial-condition measure E_f together with its p-norm machinery.
 
 ``_checked`` copies a caller's point where it enters and requires n =
-f.degree finite entries; ``_measured``, the one path that computes W, d
-and E into a ``Measurement`` that carries its point, trusts it.  A zero
-d_i, and nothing else, decides that components coincide.  Each of d, W
-and sigma is a reduction of one pairwise-difference matrix D per point,
-built by ``differences``, which ``_measured`` hands to the step map that
-follows, D's one reader, and keeps nowhere.  ``sigmas`` reduces in D's own
-memory and ``solve`` drops D before the next measurement: an iterate holds
-one n x n complex array (and |D| while d is reduced), where two freed
-together let glibc trim its heap and the next iterate fault it back in.
+f.degree finite entries; ``_measured``, the one path that computes W into
+a ``Measurement`` that carries its point, trusts it.  A zero d_i, and
+nothing else, decides that components coincide.  Each of d, W and sigma
+is a reduction of one pairwise-difference matrix D per point, built by
+``differences``, which ``_measured`` hands to its caller and keeps
+nowhere.  The step map that follows reduces sigma in D's own memory, D's
+last reader, and ``solve`` drops D before the next measurement: an
+iterate holds one n x n complex array (and |D| while d is reduced),
+where two freed together let glibc trim its heap and the next iterate
+fault it back in.
+
+``_measured`` reduces W alone; d, and E = ||W/d||_p with it, are reduced
+from D by ``_separate`` only where read straight away (``measure``, and
+``solve`` at x0 and at the iterate it stops on); any other Measurement
+reduces them from its own x when first read, once, to the same bits.  A
+coincidence puts an exact 0 (or NaN, beside an infinite factor) into its
+product over j != i, so W is not finite there; wherever a product is 0 or
+not finite, d decides before the division.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,15 +163,43 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Measurement:
     """A point vector x (complex128) with W_f(x), d(x) and E_f(x) =
-    ||W_f(x) / d(x)||_p; x, w and d are read-only."""
+    ||W_f(x) / d(x)||_p; x, w and d are read-only.  d and E are properties:
+    given, or reduced from x at p = _p the first time either is read, once,
+    to the bits a fresh measurement gives."""
 
     x: np.ndarray
     w: np.ndarray
-    d: np.ndarray
-    E: float
+    _p: float = field(default=math.inf, repr=False)  # the exponent E is reduced at
+
+    def __init__(self, x, w, d=None, E=None, _p: float = math.inf):
+        for name, v in (("x", x), ("w", w), ("_p", _p), ("_dE", None)):
+            object.__setattr__(self, name, v)
+        if d is not None:
+            self._known(d, E)
+
+    def _known(self, d: np.ndarray, E=None) -> None:
+        """Keep (d, E), E reduced from W and d at _p where not given."""
+        if E is None:
+            E = _norm(np.abs(self.w) / d, self._p)
+        object.__setattr__(self, "_dE", (d, E))
+
+    def _separate(self, diff=None) -> tuple:
+        """(d, E), reduced once: from diff = differences(x) where given,
+        else from x afresh."""
+        if self._dE is None:
+            self._known(_distinct(differences(self.x) if diff is None else diff))
+        return self._dE
+
+    @property
+    def d(self) -> np.ndarray:
+        return self._separate()[0]
+
+    @property
+    def E(self) -> float:
+        return self._separate()[1]
 
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
@@ -173,22 +210,34 @@ def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
     return x
 
 
-def _measurement(x, w, d, ctx: NormContext) -> Measurement:
-    for a in (x, w, d):
-        a.setflags(write=False)
-    return Measurement(x=x, w=w, d=d, E=_norm(np.abs(w) / d, ctx.p))
+def _distinct(diff: np.ndarray) -> np.ndarray:
+    """d, read-only, from diff = differences(x); a zero d_i means coinciding
+    components and raises NonDistinctComponents."""
+    d = _separations(diff)
+    if not d.all():
+        raise NonDistinctComponents(f"components coincide (index {int(np.argmin(d))})")
+    d.setflags(write=False)
+    return d
 
 
 def _measured(f: Polynomial, x, ctx: NormContext):
     """(Measurement, D) at the checked point x, measured afresh, with D =
-    differences(x) for the step map that follows.  A zero d_i means
-    coinciding components and raises NonDistinctComponents."""
+    differences(x) for m._separate and the step map that follows.  d is
+    reduced here only where a product over j != i is 0 or not finite, and
+    a zero d_i raises NonDistinctComponents."""
     diff = differences(x)
-    d = _separations(diff)
-    if not d.all():
-        raise NonDistinctComponents(f"components coincide (index {int(np.argmin(d))})")
-    w = evaluate(f, x) / (f.coeffs[0] * diff.prod(axis=0))
-    return _measurement(x, w, d, ctx), diff
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = diff.prod(axis=0)
+    d = None
+    if not (prod.all() and np.isfinite(prod).all()):
+        d = _distinct(diff)
+        # again, with warnings: an overflow among distinct points warns
+        # here, and coinciding ones have raised before any warning
+        prod = diff.prod(axis=0)
+    w = evaluate(f, x) / (f.coeffs[0] * prod)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return Measurement(x, w, d, _p=ctx.p), diff
 
 
 # {(f.coeffs bytes, point bytes): (W, d)} at x0 and the final iterate of
@@ -211,8 +260,11 @@ def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     x = _checked(f, x, ctx)
     hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
     if hit is None:
-        return _measured(f, x, ctx)[0]
-    return _measurement(x, *hit, ctx)
+        m, diff = _measured(f, x, ctx)
+        m._separate(diff)
+        return m
+    x.setflags(write=False)
+    return Measurement(x, *hit, _p=ctx.p)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:

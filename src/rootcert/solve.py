@@ -44,9 +44,11 @@ class SolveConfig:
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """A frozen value.  trace is the tuple of each iterate's Measurement, x0's
-    first: x_k, W_k, d_k and E_k are trace[k].x, .w, .d and .E; final is
-    trace[-1].x, and final_certificate the certificate at trace[-1], None unless
-    certificate issued; disks, disjoint and order_estimate are computed when read."""
+    first: x_k, W_k, d_k and E_k are trace[k].x, .w, .d and .E, where d_k and
+    E_k of an iterate between x0 and the last are reduced the first time either
+    is read; final is trace[-1].x, and final_certificate the certificate at
+    trace[-1], None unless certificate issued; disks, disjoint and
+    order_estimate are computed when read."""
 
     trace: Tuple[Measurement, ...]
     certificate: Optional[Certificate]
@@ -115,7 +117,10 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     by the semilocal theory.  Each iterate's one measurement is its entry
     in the trace and feeds the step and the certificates at x0 and the final
     iterate; the disks and the order estimate are read only when asked for.
-    The run stops unconverged at the first iterate whose E is not finite.
+    The steps read W and D alone, so d and E are reduced from D only at x0
+    and the final iterate; any other entry reduces them from its x the first
+    time either is read, once, to the same bits.  The run stops unconverged
+    at the first iterate whose W is not finite, which E then is not either.
 
     On return, the abort at x0 included, W and d at x0 and at the final
     iterate replace the record in ``measures`` that ``measure`` (behind
@@ -132,18 +137,20 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     trace = []
 
     m, diff = _measured(f, _checked(f, x0, ctx), ctx)
+    m._separate(diff)  # x0's certificate reads E straight away
     certificate = None if bundle is None else certificate_at(bundle, m)
     aborted = cfg.require_certificate and not certificate.issued
     while True:
         trace.append(m)
-        converged = bool(np.abs(m.w).max() <= tol)
-        if (converged or aborted or not math.isfinite(m.E)
-                or len(trace) > cfg.max_iter):
+        w_max = float(np.abs(m.w).max())
+        converged = w_max <= tol
+        if converged or aborted or not math.isfinite(w_max) or len(trace) > cfg.max_iter:
             break
         x = _STEP_MAPS[cfg.method](m, diff)
         del diff  # freed before the next D is built
         m, diff = _measured(f, x, ctx)
 
+    m._separate(diff)  # d and E at the final iterate, from the D still held
     remember(f, trace[0], m)
     at_final = certificate_at(bundle, m) if certificate and certificate.issued else None
     return SolveResult(trace=tuple(trace), certificate=certificate, final_certificate=at_final,

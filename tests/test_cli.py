@@ -261,6 +261,24 @@ class TestInputHandling:
         assert code == 1
         assert "no polynomial" in err
 
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_input_file_in_a_json_encoding(self, capsys, tmp_path, encoding):
+        # read as bytes: JSON's encoding detection takes a UTF-8 BOM, UTF-16
+        # and UTF-32, whatever the locale
+        _write_request(tmp_path / "plain.json", [1, 0, -1], [2, -2])
+        path = tmp_path / "req.json"
+        path.write_bytes((tmp_path / "plain.json").read_text().encode(encoding))
+        code, data, err = run_json(capsys, "solve", "--input", str(path))
+        _, want, _ = run_json(capsys, "solve", "--input", str(tmp_path / "plain.json"))
+        assert (code, err) == (0, "") and data == want
+
+    def test_undecodable_input_file(self, capsys, tmp_path):
+        path = tmp_path / "req.json"
+        path.write_bytes(b'{"coeffs": [\xff]}')
+        code, _, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1
+        assert err.startswith("input error: cannot read the input file: ")
+
     def test_unreadable_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--input",
                                str(tmp_path / "absent.json"))
@@ -460,6 +478,14 @@ class TestBatch:
         assert data["a.json"]["converged"] and data["b.json"]["converged"]
         roots_b = sorted(z["re"] for z in data["b.json"]["roots"])
         np.testing.assert_allclose(roots_b, [-2, 2], atol=1e-10)
+
+    def test_batch_reads_a_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        _, want, _ = run_json(capsys, "solve", "--input", str(tmp_path / "a.json"))
+        (tmp_path / "a.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "a.json").read_bytes())
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"a.json": want}
 
     def test_batch_honours_seed(self, capsys, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({

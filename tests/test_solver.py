@@ -359,12 +359,106 @@ def test_non_finite_measure_stops_the_run():
     np.testing.assert_array_equal(res.final, [1e300, -1e300])
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+@pytest.mark.parametrize("method", list(MethodKind))
+def test_trace_d_and_e_read_after_solve_are_measures(method, p):
+    # solve reduces d and E from its own D at x0 and the final iterate
+    # only; every other entry reduces them from its x when first read,
+    # to the bits measure gives there
+    f = random_monic(7, np.random.default_rng(3300))
+    ctx = norm_context(7, p)
+    r = solve(f, default_init(f), SolveConfig(method=method, p=p, require_certificate=False))
+    assert r.converged and r.iterations >= 3
+    for m in r.trace:
+        want = measure(f, m.x, ctx)
+        # a copy made before the first read reduces them at the run's p too
+        assert dataclasses.replace(m).E == want.E
+        assert m.d.tobytes() == want.d.tobytes()
+        assert np.float64(m.E).tobytes() == np.float64(want.E).tobytes()
+        assert not m.d.flags.writeable
+
+
+def _mid_run(monkeypatch, method, at, move):
+    """Patch method's step map so its image at step `at` (1 = x1) is
+    move(image); returns the list the moved image is appended to."""
+    maps = importlib.import_module("rootcert.iterations")._STEP_MAPS
+    moved, steps = [], []
+
+    def step(m, diff, _original=maps[method]):
+        x = _original(m, diff)
+        steps.append(x)
+        if len(steps) == at:
+            x = move(x.copy())
+            moved.append(x)
+        return x
+    monkeypatch.setitem(maps, method, step)
+    return moved
+
+
+def _coincide(i, j):
+    def move(x):
+        x[j] = x[i]
+        return x
+    return move
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("at, i, j", [(1, 0, 1), (2, 3, 0), (2, 1, 3)])
+def test_components_coinciding_mid_run_raise_measures_error(monkeypatch, method, at, i, j):
+    # a coincidence zeroes its product over j != i, so d decides before W's
+    # division: measure's NonDistinctComponents, and no RuntimeWarning
+    f, x0 = known_instance([1.0, -1.0, 2.0, -2.0j], 0.05, seed=4)
+    moved = _mid_run(monkeypatch, method, at, _coincide(i, j))
+    cfg = SolveConfig(method=method, require_certificate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(rootcert.NonDistinctComponents) as got:
+            solve(f, x0, cfg)
+        with pytest.raises(rootcert.NonDistinctComponents) as want:
+            measure(f, moved[0], norm_context(4, INF))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", list(MethodKind))
+def test_non_finite_w_mid_run_stops_on_that_iterate(monkeypatch, method):
+    # f overflows at x2, so W there is not finite: the guard reads max|W|
+    # and stops on x2, whose d and E come from its own D
+    f, x0 = known_instance([1.0, -1.0, 2.0, -2.0j], 0.05, seed=4)
+
+    def far(x):
+        x[2] = 1e300
+        return x
+    moved = _mid_run(monkeypatch, method, 2, far)
+    r = solve(f, x0, SolveConfig(method=method, require_certificate=False))
+    assert r.iterations == 2 and not r.converged
+    assert r.final.tobytes() == moved[0].tobytes()
+    assert all(np.isfinite(m.w).all() for m in r.trace[:-1])
+    assert not np.isfinite(r.trace[-1].w).all()
+    assert not math.isfinite(r.trace[-1].E)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_w_whose_e_overflows_does_not_stop_the_run(monkeypatch):
+    # x1 has two components 1e-300 apart: W there is about 1e300, finite,
+    # but |W_i|/d_i overflows; the guard reads max|W| alone, so the run
+    # steps on to x2 = x1 - W1, where f overflows
+    f, x0 = known_instance([1.0, -1.0, 2.0, -2.0j], 0.05, seed=4)
+    _mid_run(monkeypatch, MethodKind.WEIERSTRASS, 1,
+             lambda x: np.array([0.0, 1e-300, 2.0, -2.0j]))
+    r = solve(f, x0, SolveConfig(method=MethodKind.WEIERSTRASS, require_certificate=False))
+    assert r.iterations == 2
+    assert np.isfinite(r.trace[1].w).all() and math.isinf(r.trace[1].E)
+    assert not np.isfinite(r.trace[2].w).all()
+
+
 @pytest.mark.parametrize("method", [MethodKind.EHRLICH, MethodKind.TANABE,
                                     MethodKind.DOCHEV_BYRNEV])
 def test_one_measurement_per_iterate(method, monkeypatch):
-    # each iterate costs one whole-vector evaluation of f and one set of
-    # separations, shared by the step, the trace, the certificate and disks;
-    # measure reduces them in measures._separations
+    # each iterate costs one whole-vector evaluation of f, shared by the
+    # step, the trace, the certificate and disks; separations are reduced,
+    # in measures._separations, at x0 and the final iterate, and at any
+    # other iterate once, the first time its d or E is read
     counts = {"evaluate": 0, "separation": 0}
     for name, attr in (("evaluate", "evaluate"), ("separation", "_separations")):
         def counted(*args, _name=name, _original=getattr(measures, attr)):
@@ -375,8 +469,15 @@ def test_one_measurement_per_iterate(method, monkeypatch):
     res = solve(f, x0, SolveConfig(method=method))
     assert res.certificate.issued and res.converged and res.disjoint
     assert res.iterations >= 2
-    assert counts == {"evaluate": res.iterations + 1,
-                      "separation": res.iterations + 1}
+    assert counts == {"evaluate": res.iterations + 1, "separation": 2}
+    for k, m in enumerate(res.trace[1:-1], start=1):
+        first, second = ("d", "E") if k % 2 else ("E", "d")
+        getattr(m, first)
+        assert counts["separation"] == 2 + k
+        getattr(m, second)
+        getattr(m, first)
+        assert counts["separation"] == 2 + k
+    assert counts == {"evaluate": res.iterations + 1, "separation": res.iterations + 1}
 
 
 def _plain_run(f, x0, step, cfg):

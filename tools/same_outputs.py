@@ -26,7 +26,8 @@ the final iterate of the uncertified Ehrlich and Tanabe solves, right
 after each.  A call that raises records the exception's type and message
 as its output.  A dataclass is compared by its public attributes, fields
 and properties alike, by name, so moving a value between a field and a
-property is no difference.
+property is no difference.  So each trace entry's d and E, properties
+that an intermediate iterate reduces only when read, are compared too.
 
 After the library grid, the command line runs in the same process, and
 each entry is its (exit status, stdout) pair, stderr dropped.  For the
