@@ -13,13 +13,14 @@ iterate holds one n x n complex array (and |D| while d is reduced),
 where two freed together let glibc trim its heap and the next iterate
 fault it back in.
 
-``_measured`` reduces W alone; d, and E = ||W/d||_p with it, are reduced
-from D by ``_separate`` only where read straight away (``measure``, and
-``solve`` at x0 and at the iterate it stops on); any other Measurement
-reduces them from its own x when first read, once, to the same bits.  A
-coincidence puts an exact 0 (or NaN, beside an infinite factor) into its
-product over j != i, so W is not finite there; wherever a product is 0 or
-not finite, d decides before the division.
+``_measured`` reduces W alone.  d and E = ||W/d||_p are cached
+properties; ``_with_d``, the one writer of a cached d, supplies it from
+the D its caller still holds (``measure``, and ``solve`` at x0 and at the
+iterate it stops on) or from the record.  Any other Measurement reduces d
+from its own x when first read, once, to the same bits, and E from W and
+d.  A coincidence puts an exact 0 (or NaN, beside an infinite factor)
+into its product over j != i, so W is not finite there; wherever a
+product is 0 or not finite, d decides before the division.
 
 Whenever ``solve`` returns, it leaves W and d at x0 and at its final
 iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,43 +165,24 @@ def sigmas(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """A point vector x (complex128) with W_f(x), d(x) and E_f(x) =
-    ||W_f(x) / d(x)||_p; x, w and d are read-only.  d and E are properties:
-    given, or reduced from x at p = _p the first time either is read, once,
-    to the bits a fresh measurement gives."""
+    ||W_f(x) / d(x)||_p at p = _p; x, w and d are read-only.  d and E are
+    cached properties, each reduced when first read, once, d from x unless
+    _with_d supplied it, to the bits a fresh measurement gives."""
 
     x: np.ndarray
     w: np.ndarray
-    _p: float = field(default=math.inf, repr=False)  # the exponent E is reduced at
+    _p: float = field(default=math.inf, repr=False, kw_only=True)
 
-    def __init__(self, x, w, d=None, E=None, _p: float = math.inf):
-        for name, v in (("x", x), ("w", w), ("_p", _p), ("_dE", None)):
-            object.__setattr__(self, name, v)
-        if d is not None:
-            self._known(d, E)
-
-    def _known(self, d: np.ndarray, E=None) -> None:
-        """Keep (d, E), E reduced from W and d at _p where not given."""
-        if E is None:
-            E = _norm(np.abs(self.w) / d, self._p)
-        object.__setattr__(self, "_dE", (d, E))
-
-    def _separate(self, diff=None) -> tuple:
-        """(d, E), reduced once: from diff = differences(x) where given,
-        else from x afresh."""
-        if self._dE is None:
-            self._known(_distinct(differences(self.x) if diff is None else diff))
-        return self._dE
-
-    @property
+    @cached_property
     def d(self) -> np.ndarray:
-        return self._separate()[0]
+        return _distinct(differences(self.x))
 
-    @property
+    @cached_property
     def E(self) -> float:
-        return self._separate()[1]
+        return _norm(np.abs(self.w) / self.d, self._p)
 
 
 def _checked(f: Polynomial, x, ctx: NormContext) -> np.ndarray:
@@ -220,9 +203,18 @@ def _distinct(diff: np.ndarray) -> np.ndarray:
     return d
 
 
+def _with_d(m: Measurement, diff=None, d=None) -> Measurement:
+    """m with its cached d supplied where not yet known: d where given (the
+    record's), else reduced from diff = differences(m.x), which the caller
+    still holds."""
+    if "d" not in vars(m):
+        vars(m)["d"] = _distinct(diff) if d is None else d
+    return m
+
+
 def _measured(f: Polynomial, x, ctx: NormContext):
     """(Measurement, D) at the checked point x, measured afresh, with D =
-    differences(x) for m._separate and the step map that follows.  d is
+    differences(x) for _with_d and the step map that follows.  d is
     reduced here only where a product over j != i is 0 or not finite, and
     a zero d_i raises NonDistinctComponents."""
     diff = differences(x)
@@ -237,7 +229,8 @@ def _measured(f: Polynomial, x, ctx: NormContext):
     w = evaluate(f, x) / (f.coeffs[0] * prod)
     x.setflags(write=False)
     w.setflags(write=False)
-    return Measurement(x, w, d, _p=ctx.p), diff
+    m = Measurement(x, w, _p=ctx.p)
+    return (m if d is None else _with_d(m, d=d)), diff
 
 
 # {(f.coeffs bytes, point bytes): (W, d)} at x0 and the final iterate of
@@ -254,17 +247,17 @@ def remember(f: Polynomial, *measurements: Measurement) -> None:
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The Measurement of W, d and E at x.  Where the last solve measured
-    x (its x0 or its final iterate) W and d come from the record and E is
-    recomputed in O(n); elsewhere x is measured afresh.  Both give the
-    same bits.  x passes _checked, so m.x is a copy of it."""
+    x (its x0 or its final iterate) W and d come from the record;
+    elsewhere x is measured afresh and d reduced from its D.  E is reduced
+    in O(n) when read.  Both give the same bits.  x passes _checked, so
+    m.x is a copy of it."""
     x = _checked(f, x, ctx)
     hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
     if hit is None:
-        m, diff = _measured(f, x, ctx)
-        m._separate(diff)
-        return m
+        return _with_d(*_measured(f, x, ctx))
     x.setflags(write=False)
-    return Measurement(x, *hit, _p=ctx.p)
+    w, d = hit
+    return _with_d(Measurement(x, w, _p=ctx.p), d=d)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:

@@ -14,7 +14,7 @@ from .certify import Certificate, Disk, certificate_at, disjoint_at, disks_at, g
 from .errors import UnsupportedCombination
 from .iterations import _STEP_MAPS, MethodKind
 from .measures import (Measurement, _checked, _exponent, _integer, _measured, _setting,
-                       norm_context, remember)
+                       _with_d, norm_context, remember)
 from .polynomials import Polynomial, _finite
 
 
@@ -44,11 +44,11 @@ class SolveConfig:
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """A frozen value.  trace is the tuple of each iterate's Measurement, x0's
-    first: x_k, W_k, d_k and E_k are trace[k].x, .w, .d and .E, where d_k and
-    E_k of an iterate between x0 and the last are reduced the first time either
-    is read; final is trace[-1].x, and final_certificate the certificate at
-    trace[-1], None unless certificate issued; disks, disjoint and
-    order_estimate are computed when read."""
+    first: x_k, W_k, d_k and E_k are trace[k].x, .w, .d and .E, the last two
+    cached properties, where d_k between x0 and the last iterate is reduced
+    from x_k when first read; final is trace[-1].x, and final_certificate
+    the certificate at trace[-1], None unless certificate issued; disks,
+    disjoint and order_estimate are computed when read."""
 
     trace: Tuple[Measurement, ...]
     certificate: Optional[Certificate]
@@ -117,10 +117,11 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     by the semilocal theory.  Each iterate's one measurement is its entry
     in the trace and feeds the step and the certificates at x0 and the final
     iterate; the disks and the order estimate are read only when asked for.
-    The steps read W and D alone, so d and E are reduced from D only at x0
-    and the final iterate; any other entry reduces them from its x the first
-    time either is read, once, to the same bits.  The run stops unconverged
-    at the first iterate whose W is not finite, which E then is not either.
+    The steps read W and D alone, so d is reduced from D, by _with_d, only
+    at x0 and the final iterate; any other entry reduces it from its x the
+    first time it is read, once, to the same bits, and E when read.  The
+    run stops unconverged at the first iterate whose W is not finite,
+    which E then is not either.
 
     On return, the abort at x0 included, W and d at x0 and at the final
     iterate replace the record in ``measures`` that ``measure`` (behind
@@ -137,7 +138,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     trace = []
 
     m, diff = _measured(f, _checked(f, x0, ctx), ctx)
-    m._separate(diff)  # x0's certificate reads E straight away
+    _with_d(m, diff)  # x0's certificate reads E straight away
     certificate = None if bundle is None else certificate_at(bundle, m)
     aborted = cfg.require_certificate and not certificate.issued
     while True:
@@ -150,7 +151,7 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         del diff  # freed before the next D is built
         m, diff = _measured(f, x, ctx)
 
-    m._separate(diff)  # d and E at the final iterate, from the D still held
+    _with_d(m, diff)  # d at the final iterate, from the D still held
     remember(f, trace[0], m)
     at_final = certificate_at(bundle, m) if certificate and certificate.issued else None
     return SolveResult(trace=tuple(trace), certificate=certificate, final_certificate=at_final,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rootcert.measures as measures
-from rootcert import Polynomial, e_measure, from_roots
+from rootcert import Measurement, Polynomial, e_measure, from_roots
 
 
 @pytest.fixture(autouse=True)
@@ -10,6 +10,13 @@ def empty_record(monkeypatch):
     """Each test starts with an empty record of solve's measurements, so
     no test's call counts depend on which solve ran before it."""
     monkeypatch.setattr(measures, "_record", {})
+
+
+def synthetic_measurement(x, w, d, E):
+    """Measurement(x, w) whose d and E are the given values, not measured."""
+    m = Measurement(x, w)
+    vars(m).update(d=d, E=E)
+    return m
 
 
 def random_monic(n, rng):

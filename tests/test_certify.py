@@ -11,7 +11,6 @@ import pytest
 import rootcert
 from rootcert import (
     DegreeMismatch,
-    Measurement,
     MethodKind,
     NotCertified,
     Polynomial,
@@ -37,7 +36,7 @@ from rootcert import (
 )
 from rootcert import certify
 from rootcert.certify import _K_CAP, certificate_at, disjoint_at, disks_at
-from conftest import roots_of_unity_just_below_tau, well_separated_roots
+from conftest import roots_of_unity_just_below_tau, synthetic_measurement, well_separated_roots
 from oracle import dochev_byrnev_step
 
 INF = math.inf
@@ -426,8 +425,8 @@ def test_missing_certificate_is_not_certified(bound):
 
 def _measurement_at(E, n):
     # certificate_at reads only E and w
-    return Measurement(x=np.zeros(n, dtype=complex), w=np.full(n, 1e-3 + 0j),
-                       d=np.ones(n), E=E)
+    return synthetic_measurement(np.zeros(n, dtype=complex), np.full(n, 1e-3 + 0j),
+                                 np.ones(n), E)
 
 
 def _assert_declined(cert):
@@ -578,7 +577,7 @@ class TestDisks:
             w[far] = rng.choice([32.0, 63.5, 63.75, 64.0])
         b = gauge_bundle(MethodKind.EHRLICH, norm_context(n, INF))
         # tiny radii pass the O(n) test on d
-        m = Measurement(x=x, w=w + 0j, d=separation(x), E=0.0)
+        m = synthetic_measurement(x, w + 0j, separation(x), 0.0)
         cert = certificate_at(b, m)
         disks, disjoint = disks_at(cert), disjoint_at(cert)
         radii = np.array([d.radius for d in disks])
@@ -594,7 +593,7 @@ class TestDisks:
     def test_disk_fields_are_python_scalars(self, x):
         # Disk documents center: complex and radius: float, not numpy scalars
         b = gauge_bundle(MethodKind.EHRLICH, CTX2)
-        m = Measurement(x=X, w=np.array([0.25, 0.5]) + 0j, d=separation(X), E=0.0)
+        m = synthetic_measurement(X, np.array([0.25, 0.5]) + 0j, separation(X), 0.0)
         for disks in (inclusion_disks(F, x, b)[0],
                       disks_at(certificate_at(b, m))):
             assert [d.center for d in disks] == [2, -2]

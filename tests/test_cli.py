@@ -26,6 +26,9 @@ def _reject_constant(name):
 NON_FINITE_ROOTS = ["solve", "--coeffs", "1e-300,1,1", "--guess", "1e100,-1e100",
                     "--method", "tanabe", "--no-certificate"]
 NULL_ROOTS = [{"re": None, "im": 0.0}, {"re": None, "im": 0.0}]
+# a request whose coefficients are nested deeper than Python's recursion
+# limit, which json.loads meets with RecursionError
+DEEP = '{"coeffs": ' + "[" * 200_000 + "]" * 200_000 + "}"
 
 
 def run_json(capsys, *argv):
@@ -279,6 +282,14 @@ class TestInputHandling:
         assert code == 1
         assert err.startswith("input error: cannot read the input file: ")
 
+    def test_input_nested_beyond_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("input error: cannot read the input file: ")
+        assert len(err.splitlines()) == 1
+
     def test_unreadable_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--input",
                                str(tmp_path / "absent.json"))
@@ -530,6 +541,17 @@ class TestBatch:
         assert json.loads(out) == {"a.json": alone}
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: b.json: ")
+
+    def test_deeply_nested_file_reported_and_rest_solved(self, capsys, tmp_path):
+        _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])
+        (tmp_path / "b.json").write_text(DEEP)
+        _, alone, _ = run_json(capsys, "solve", "--input", str(tmp_path / "a.json"))
+        code, out, err = run_cli(capsys, "solve", "--batch", str(tmp_path))
+        assert code == 1
+        assert json.loads(out) == {"a.json": alone}
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("input error: b.json: cannot read the input file: ")
 
     def test_exit_status_is_the_worst_file(self, capsys, tmp_path):
         _write_request(tmp_path / "a.json", [1, 0, -1], [2, -2])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rootcert import (
     BadExponent,
     DegreeMismatch,
+    Measurement,
     MethodKind,
     NonDistinctComponents,
     Polynomial,
@@ -206,6 +207,25 @@ def test_measurement_does_not_alias_the_point(recorded):
     x[0] = 7.0
     assert m.x[0] == 1.1
     assert measure(f, m.x, ctx).w.tobytes() == m.w.tobytes()
+
+
+@pytest.mark.parametrize("p", [INF, 1.0])
+def test_measurement_built_directly_reduces_what_measure_gives(p):
+    # d and E of a bare Measurement(x, w) are reduced from its own x at _p,
+    # to the bits measure gives at that point
+    rng = np.random.default_rng(4100)
+    f = random_monic(9, rng)
+    want = measure(f, random_distinct_points(9, rng), norm_context(9, p))
+    m = Measurement(want.x, want.w) if p == INF else Measurement(want.x, want.w, _p=p)
+    assert m.d.tobytes() == want.d.tobytes()
+    assert np.float64(m.E).tobytes() == np.float64(want.E).tobytes()
+
+
+def test_measurement_takes_no_positional_d():
+    # the exponent is keyword-only, so a third positional argument is no d
+    x = np.array([1.0, -1.0]) + 0j
+    with pytest.raises(TypeError):
+        Measurement(x, x, separation(x))
 
 
 W_ALONE = {

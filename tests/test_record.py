@@ -7,6 +7,7 @@ trace's own W and d, which are read-only, so no write can change a hit.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -45,11 +46,12 @@ def _bits(v):
     if isinstance(v, (float, complex, np.floating, np.complexfloating)):
         return np.complex128(v).tobytes()
     if dataclasses.is_dataclass(v):
-        # fields and properties alike; a certificate's bundle is the
-        # caller's own object
+        # fields and properties, cached or not, alike; a certificate's
+        # bundle is the caller's own object
         cls = type(v)
         names = [fl.name for fl in dataclasses.fields(v)] + sorted(
-            name for name in dir(cls) if isinstance(getattr(cls, name), property))
+            name for name in dir(cls)
+            if isinstance(getattr(cls, name), (property, functools.cached_property)))
         return tuple((name, _bits(getattr(v, name))) for name in names
                      if name != "bundle")
     if isinstance(v, (list, tuple)):

@@ -16,7 +16,6 @@ import rootcert
 import rootcert.measures as measures
 from rootcert import (
     BadExponent,
-    Measurement,
     MethodKind,
     Polynomial,
     SolveConfig,
@@ -44,7 +43,7 @@ from rootcert import (
     w_contraction_bound,
     weierstrass_step,
 )
-from conftest import random_monic, well_separated_roots
+from conftest import random_monic, synthetic_measurement, well_separated_roots
 from oracle import coeff_vector, known_instance, match_roots
 
 INF = math.inf
@@ -95,7 +94,7 @@ class TestDefaultInit:
 
 def _synthetic_trace(w_norms):
     """A trace of measurements whose W_k are the given vectors."""
-    return [Measurement(x=np.zeros(w.size), w=w, d=np.ones(w.size), E=0.0)
+    return [synthetic_measurement(np.zeros(w.size), w, np.ones(w.size), 0.0)
             for w in w_norms]
 
 

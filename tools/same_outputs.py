@@ -25,9 +25,10 @@ them over 1.1 times ``default_init``.  ``inclusion_disks`` also runs at
 the final iterate of the uncertified Ehrlich and Tanabe solves, right
 after each.  A call that raises records the exception's type and message
 as its output.  A dataclass is compared by its public attributes, fields
-and properties alike, by name, so moving a value between a field and a
-property is no difference.  So each trace entry's d and E, properties
-that an intermediate iterate reduces only when read, are compared too.
+and properties, cached or not, alike, by name, so moving a value between
+a field and a property is no difference.  So each trace entry's d and E,
+cached properties that an intermediate iterate reduces only when read,
+are compared too.
 
 After the library grid, the command line runs in the same process, and
 each entry is its (exit status, stdout) pair, stderr dropped.  For the
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import os
 import pickle
@@ -84,7 +86,8 @@ def _bits(v):
     if dataclasses.is_dataclass(v):
         cls = type(v)
         names = {fl.name for fl in dataclasses.fields(v)} | {
-            name for name in dir(cls) if isinstance(getattr(cls, name), property)}
+            name for name in dir(cls)
+            if isinstance(getattr(cls, name), (property, functools.cached_property))}
         # a certificate's bundle holds closures; its gauges are the inputs
         return cls.__name__, tuple(
             (name, _bits(getattr(v, name))) for name in sorted(names)
