@@ -164,7 +164,8 @@ def certify_initial(f: Polynomial, x0, bundle: GaugeBundle) -> Certificate:
 
     Failure of the conditions yields an unissued certificate, not an error,
     and a bundle built for another degree raises DegreeMismatch.  Where the
-    last solve started or ended at x0, only E is measured again, in O(n).
+    last solve started or ended at x0, it is decided at solve's measurement
+    there, whose E alone is reduced again, in O(n), at another p.
     """
     return certificate_at(bundle, measure(f, x0, bundle.ctx))
 

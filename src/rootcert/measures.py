@@ -22,11 +22,11 @@ d.  A coincidence puts an exact 0 (or NaN, beside an infinite factor)
 into its product over j != i, so W is not finite there; wherever a
 product is 0 or not finite, d decides before the division.
 
-Whenever ``solve`` returns, it leaves W and d at x0 and at its final
-iterate in one O(n) record, keyed by the exact bytes of f.coeffs and of
-the point.  ``measure``, behind every public function of a point but
-``solve`` and the steps, reads it first and on a hit returns the bits a
-fresh measurement gives, sharing the trace's read-only W and d.
+Whenever ``solve`` returns, it leaves its Measurements at x0 and at its
+final iterate in one O(n) record, keyed by the exact bytes of f.coeffs
+and of the point.  ``measure``, behind every public function of a point
+but ``solve`` and the steps, reads it first: a hit at the solve's p is
+the trace entry itself, and at another p shares its read-only W and d.
 """
 
 from __future__ import annotations
@@ -233,31 +233,29 @@ def _measured(f: Polynomial, x, ctx: NormContext):
     return (m if d is None else _with_d(m, d=d)), diff
 
 
-# {(f.coeffs bytes, point bytes): (W, d)} at x0 and the final iterate of
-# the last solve, the trace's read-only arrays.  Only remember writes it,
-# by one assignment, so a reader's one lookup sees one solve or another.
+# {(f.coeffs bytes, point bytes): Measurement}, the trace's own at x0 and
+# the final iterate of the last solve.  Only remember writes it, by one
+# assignment, so a reader's one lookup sees one solve or another.
 _record: dict = {}
 
 
 def remember(f: Polynomial, *measurements: Measurement) -> None:
-    """Replace the record with W and d of each m, keyed by bytes."""
+    """Replace the record with each m itself, keyed by bytes."""
     global _record
-    _record = {(f.coeffs.tobytes(), m.x.tobytes()): (m.w, m.d) for m in measurements}
+    _record = {(f.coeffs.tobytes(), m.x.tobytes()): m for m in measurements}
 
 
 def measure(f: Polynomial, x, ctx: NormContext) -> Measurement:
     """The Measurement of W, d and E at x.  Where the last solve measured
-    x (its x0 or its final iterate) W and d come from the record;
-    elsewhere x is measured afresh and d reduced from its D.  E is reduced
-    in O(n) when read.  Both give the same bits.  x passes _checked, so
-    m.x is a copy of it."""
+    x (its x0 or its final iterate) it is the record's: at the solve's p
+    the trace entry itself, at another p one with its x, W and d, whose E
+    is reduced in O(n) when read.  Elsewhere x is measured afresh, a copy
+    of the caller's, and d reduced from its D.  All give the same bits."""
     x = _checked(f, x, ctx)
-    hit = _record.get((f.coeffs.tobytes(), x.tobytes()))
-    if hit is None:
+    m = _record.get((f.coeffs.tobytes(), x.tobytes()))
+    if m is None:
         return _with_d(*_measured(f, x, ctx))
-    x.setflags(write=False)
-    w, d = hit
-    return _with_d(Measurement(x, w, _p=ctx.p), d=d)
+    return m if m._p == ctx.p else _with_d(Measurement(m.x, m.w, _p=ctx.p), d=m.d)
 
 
 def weierstrass_correction(f: Polynomial, x) -> np.ndarray:

@@ -123,11 +123,11 @@ def solve(f: Polynomial, x0, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     run stops unconverged at the first iterate whose W is not finite,
     which E then is not either.
 
-    On return, the abort at x0 included, W and d at x0 and at the final
-    iterate replace the record in ``measures`` that ``measure`` (behind
-    every public function of a point but solve and the steps) reads instead
-    of measuring again; solve only writes it, so a repeated request is
-    measured again.  x0 is checked and copied as every function of a point
+    On return, the abort at x0 included, the trace's entries at x0 and at
+    the final iterate replace the record in ``measures`` that ``measure``
+    (behind every public function of a point but solve and the steps) reads
+    instead of measuring again; solve only writes it, so a repeated request
+    is measured again.  x0 is checked and copied as every function of a point
     checks and copies its point: the result never aliases the caller's.
     """
     ctx = norm_context(f.degree, cfg.p)

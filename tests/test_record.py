@@ -3,7 +3,9 @@
 measure reads it before it measures, and with it every public function of
 a point but solve and the three steps; a hit must give the bits a fresh
 measurement gives, and anything else must miss.  The record holds the
-trace's own W and d, which are read-only, so no write can change a hit.
+trace's own Measurements, whose x, W and d are read-only, so no write can
+change a hit: at the solve's p a hit is the trace entry itself, and at
+another p it shares that entry's arrays and reduces E for the caller's p.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import pytest
 
 import rootcert.measures as measures
 from rootcert import (
+    Measurement,
     MethodKind,
     Polynomial,
     SolveConfig,
@@ -268,9 +271,62 @@ def test_record_is_o_n():
                 walk(e)
         elif isinstance(v, dict):
             walk(list(v.values()))
+        elif isinstance(v, Measurement):
+            walk(vars(v))  # its fields and every value cached on it
 
     walk(measures._record)
-    # W and d at two points; the keys are bytes of f.coeffs and the points
-    assert len(arrays) == 4
+    # x, W and the cached d at two points; the keys are bytes of f.coeffs
+    # and the points
+    assert len(arrays) == 6
     assert all(a.size <= n for a in arrays)
-    assert sum(a.nbytes for a in arrays) <= 2 * 24 * n
+    assert sum(a.nbytes for a in arrays) <= 2 * (16 + 16 + 8) * n
+
+
+@pytest.mark.parametrize("p", PS, ids=["inf", "1", "2"])
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_hits_at_the_solves_p_are_its_trace_entries(method, p, counts):
+    f, x0 = _instance(5)
+    ctx = norm_context(f.degree, p)
+    bundle = gauge_bundle(method, ctx)
+    res = solve(f, x0, SolveConfig(method=method, p=p))
+    assert res.certificate.issued and res.iterations >= 1
+    counts.update(evaluate=0, separation=0)
+    # x0 is the caller's own array, a copy of which the trace holds
+    assert measure(f, x0, ctx) is res.trace[0]
+    assert measure(f, res.final, ctx) is res.trace[-1]
+    assert certify_initial(f, x0, bundle).at is res.trace[0]
+    assert certify_initial(f, res.final, bundle).at is res.trace[-1]
+    assert counts == {"evaluate": 0, "separation": 0}
+
+
+@pytest.mark.parametrize("solved, read", [(1.0, math.inf), (1.0, 2.0), (math.inf, 1.0)],
+                         ids=["1 read at inf", "1 read at 2", "inf read at 1"])
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_hits_at_another_p_reduce_E_at_it(method, solved, read, counts):
+    f, x0 = _instance(6)
+    res = solve(f, x0, SolveConfig(method=method, p=solved))
+    assert res.certificate.issued and res.iterations >= 1
+    ctx = norm_context(f.degree, read)
+    bundle = gauge_bundle(method, ctx)
+
+    def readers():
+        out = {}
+        for name, x in (("x0", x0), ("final", res.final)):
+            m = measure(f, x, ctx)
+            out[f"measure {name}"] = m.d, m.E
+            out[f"e_measure {name}"] = e_measure(f, x, ctx)
+            out[f"certify_initial {name}"] = certify_initial(f, x, bundle)
+        return out
+
+    counts.update(evaluate=0, separation=0)
+    for entry in (res.trace[0], res.trace[-1]):
+        m = measure(f, entry.x, ctx)
+        assert m is not entry and m._p == read
+        assert m.x is entry.x and m.w is entry.w and m.d is entry.d
+    hit = readers()
+    assert counts == {"evaluate": 0, "separation": 0}
+    _solve_elsewhere()
+    fresh = readers()
+    assert hit.keys() == fresh.keys()
+    for name in hit:
+        assert _bits(hit[name]) == _bits(fresh[name]), name

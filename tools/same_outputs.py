@@ -17,7 +17,9 @@ seeds 1 and 2; between them they take every chunk width B of
 ``default_init``, and certified with each certifiable method from a point
 near the uncertified Ehrlich run's final iterate; right after each, the
 corrections W at that start point and ``a_posteriori_bound_1`` at its
-final iterate, both of which read the record the solve left.  At 0.9 times
+final iterate, both of which read the record the solve left at its p =
+inf, and then the record read at p = 1: ``e_measure`` at the start point
+and ``certify_initial`` at the final iterate.  At 0.9 times
 ``default_init`` it runs ``inclusion_disks`` for Ehrlich and Tanabe, the
 three public steps and ``separation``, and ``evaluate`` at four of those
 points, one scalar call each, and once on a 2-D array that stacks all of
@@ -53,6 +55,10 @@ k = -1 and 10**400; ``w_contraction_bound`` at k = 10**400;
 (2, 2), (1,), (0,) and (1, 4); ``measure`` at three points, one nan, for
 degree 2; and ``from_roots`` with a leading of [1.0, 2.0, 3.0], [[2.0]]
 and np.array([2.0]).
+
+In all there are 728 entries: 638 of the library grid, 132 of them the
+record read at p = 1, 36 of the command line and 54 of the rejected
+settings and points.
 """
 
 from __future__ import annotations
@@ -124,7 +130,7 @@ def grid() -> dict:
             f = rc.Polynomial(_kac(n, seed))
             x0 = rc.default_init(f)
             tag = f"n={n} seed={seed}"
-            ctx = rc.norm_context(n, math.inf)
+            ctx, ctx1 = rc.norm_context(n, math.inf), rc.norm_context(n, 1)
             bundles = {m: rc.gauge_bundle(m, ctx) for m in (kinds.EHRLICH, kinds.TANABE)}
             near = x0
             for method in kinds:
@@ -150,6 +156,12 @@ def grid() -> dict:
                 out[f"{tag} bound 1 at the final iterate of certified {method.value}"] = (
                     _run(lambda: rc.a_posteriori_bound_1(
                         f, r.final, rc.gauge_bundle(method, ctx))))
+                # the same record read at another exponent, whose E it reduces again
+                out[f"{tag} e_measure at p=1 at the start of certified {method.value}"] = (
+                    _run(lambda: rc.e_measure(f, near, ctx1)))
+                out[f"{tag} certify_initial at p=1 at the final iterate of certified "
+                    f"{method.value}"] = _run(lambda: rc.certify_initial(
+                        f, r.final, rc.gauge_bundle(method, ctx1)))
             x = 0.9 * x0
             for method, bundle in bundles.items():
                 out[f"{tag} inclusion_disks {method.value}"] = _run(
