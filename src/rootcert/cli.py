@@ -156,10 +156,10 @@ def _cmd_solve(args) -> tuple:
     cfg = SolveConfig(method=MethodKind(args.method), p=args.p,
                       max_iter=args.max_iter, w_tol=args.tol,
                       require_certificate=not args.no_certificate)
-    init = default_init
+    init = functools.partial(default_init, method=cfg.method)
     if args.seed is not None:
         rng = np.random.default_rng(_integer("--seed", args.seed, 0))
-        init = functools.partial(default_init, rotation=float(rng.uniform(0, 2 * np.pi)))
+        init = functools.partial(init, rotation=float(rng.uniform(0, 2 * np.pi)))
 
     def one(path) -> tuple:
         f, guess = _load_request(args, path)

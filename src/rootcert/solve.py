@@ -5,6 +5,7 @@ measurements, stopping rules and empirical convergence-order estimation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,6 +17,15 @@ from .iterations import _STEP_MAPS, MethodKind
 from .measures import (Measurement, _checked, _exponent, _integer, _measured, _setting,
                        _with_d, norm_context, remember)
 from .polynomials import Polynomial, _finite
+
+# the largest g whose math.exp(g) is finite
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _method(method) -> MethodKind:
+    if not isinstance(method, MethodKind):
+        raise ValueError(f"method must be a MethodKind, got {method!r}")
+    return method
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,7 @@ class SolveConfig:
     require_certificate: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.method, MethodKind):
-            raise ValueError(f"method must be a MethodKind, got {self.method!r}")
+        _method(self.method)
         _exponent(self.p)
         _integer("max_iter", self.max_iter, 1)
         _setting("w_tol", self.w_tol, "be finite and > 0", lambda t: math.isfinite(t) and t > 0)
@@ -75,19 +84,68 @@ class SolveResult:
         return estimate_order(self.trace)
 
 
-def default_init(f: Polynomial, rotation: float = 0.4) -> np.ndarray:
-    """Aberth-style starting points: n points equally spaced on a circle
-    centered at the coefficient centroid -C_1/(n C_0), with radius
-    1 + max_i |C_i/C_0|**(1/i) and a rotation to break symmetry.
-    Pairwise distinct by construction; a ValueError where not finite (rotation too)."""
-    rotation = _setting("rotation", rotation, "be a finite real", math.isfinite)
+def default_init(f: Polynomial, rotation: float = 0.4,
+                 method: MethodKind = MethodKind.EHRLICH) -> np.ndarray:
+    """Starting points for method, pairwise distinct by construction; a
+    ValueError where not finite (rotation too).  The rotation breaks
+    symmetry and is reduced mod 2*pi, so no |rotation| absorbs the spacing.
+
+    Ehrlich starts from Bini's circles (Numer. Algorithms 13, 1996), near
+    the moduli of the roots: each edge (i, k) of the upper convex hull of
+    (j, log|a_j|), a_j the coefficient of z**j, gives k - i points of modulus
+    (|a_i|/|a_k|)**(1/(k - i)) at angles 2*pi*(j/(k - i) + i/n) + rotation,
+    j < k - i, and a zero root of order k0 gives k0 points at half the least
+    modulus, or at 1 where the hull has no edge.  Every other method starts
+    from Aberth's circle: n points equally spaced on the circle centered at
+    the coefficient centroid -C_1/(n C_0), of radius 1 + max_i |C_i/C_0|**(1/i):
+    from Bini's circles Tanabe and Dochev-Byrnev take more iterations, and
+    Weierstrass's product overflows on Kac polynomials of degree 256."""
+    rotation = math.fmod(_setting("rotation", rotation, "be a finite real", math.isfinite),
+                         2.0 * math.pi)
     n, error = f.degree, "default_init: the starting circle is not finite for these coefficients"
+    if _method(method) is MethodKind.EHRLICH:
+        return _polygon_start(f, rotation, error)
     with np.errstate(all="ignore"):  # an overflow is reported by the ValueError
         c = f.coeffs / f.coeffs[0]
         center = -c[1] / n
         radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
         angles = 2.0 * np.pi * np.arange(n) / n + rotation
         return _finite(center + radius * np.exp(1j * angles), error)
+
+
+def _polygon_start(f: Polynomial, rotation: float, error: str) -> np.ndarray:
+    """default_init's start for Ehrlich.  The hull keeps a vertex only where
+    the rounded moduli of its two edges strictly increase, so the circles are
+    distinct; a modulus not finite or below the least normal float raises."""
+    n, exp, inf = f.degree, math.exp, math.inf
+    a = np.abs(f.coeffs[::-1])
+    support = np.flatnonzero(a)
+    js, logs = support.tolist(), np.log(a[support]).tolist()
+    # each vertex j of the hull, log|a_j| and the modulus of the edge ending
+    # at j; the first vertex's -1 is below every modulus, so it stays
+    hull = [(js[0], logs[0], -1.0)]
+    for k, lk in zip(js[1:], logs[1:]):
+        while True:
+            j, lj, rj = hull[-1]
+            g = (lj - lk) / (k - j)
+            r = exp(g) if g <= _LOG_MAX else inf
+            if rj < r:
+                break
+            hull.pop()
+        hull.append((k, lk, r))
+    vs, _, rs = zip(*hull)
+    vs, rs = [*vs], [*rs[1:]]
+    if vs[0] > 0:  # z**k0 divides f: its k0 points inside the least circle
+        vs.insert(0, 0)
+        rs.insert(0, rs[0] / 2.0 if rs else 1.0)
+    if not sys.float_info.min <= rs[0] <= rs[-1] < inf:
+        raise ValueError(error)
+    vs = np.array(vs)
+    sizes = np.diff(vs)
+    edge = np.repeat(np.arange(sizes.size), sizes)  # the edge of each point
+    i = vs[edge]
+    angles = 2.0 * np.pi * ((np.arange(n) - i) / sizes[edge] + i / n) + rotation
+    return np.array(rs)[edge] * np.exp(1j * angles)
 
 
 def estimate_order(trace: Sequence[Measurement]) -> Optional[float]:

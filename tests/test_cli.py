@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from rootcert import (MethodKind, Polynomial, SolveConfig, gauge_bundle,
+from rootcert import (MethodKind, Polynomial, SolveConfig, default_init, gauge_bundle,
                       norm_context, solve)
 from rootcert import cli
 from rootcert.cli import main
@@ -29,6 +29,8 @@ NULL_ROOTS = [{"re": None, "im": 0.0}, {"re": None, "im": 0.0}]
 # a request whose coefficients are nested deeper than Python's recursion
 # limit, which json.loads meets with RecursionError
 DEEP = '{"coeffs": ' + "[" * 200_000 + "]" * 200_000 + "}"
+# a monic degree-64 polynomial with seeded real coefficients uniform in [-1, 1]
+KAC_64 = ",".join(map(repr, [1.0, *np.random.default_rng(64).uniform(-1, 1, 64).tolist()]))
 
 
 def run_json(capsys, *argv):
@@ -80,6 +82,23 @@ class TestSolve:
                      "--no-certificate")
         assert a == b
         assert a[0] == 0 and a[1]["converged"] is True
+
+    def test_ehrlich_without_a_guess_starts_from_the_polygon(self, capsys):
+        # from Aberth's circle this input takes 29 iterations
+        code, data, _ = run_json(capsys, "solve", "--coeffs", KAC_64, "--no-certificate")
+        assert code == 0 and data["converged"] is True
+        assert data["iterations"] <= 20
+
+    @pytest.mark.parametrize("method", ["tanabe", "weierstrass", "dochev-byrnev"])
+    def test_other_methods_without_a_guess_start_from_the_circle(self, capsys, method):
+        f = Polynomial([float(c) for c in KAC_64.split(",")])
+        kind = MethodKind(method)
+        circle = solve(f, default_init(f, method=kind),
+                       SolveConfig(method=kind, require_certificate=False))
+        code, data, _ = run_json(capsys, "solve", "--coeffs", KAC_64,
+                                 "--method", method, "--no-certificate")
+        assert code == 0 and data["iterations"] == circle.iterations
+        assert [complex(z["re"], z["im"]) for z in data["roots"]] == circle.final.tolist()
 
     def test_human_readable_output(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--coeffs", "1,0,-1",

@@ -36,8 +36,9 @@ def _calls(n: int) -> dict:
     return {
         "solve ehrlich": lambda: solve(f, near),
         "solve tanabe": lambda: solve(f, near, SolveConfig(method=MethodKind.TANABE)),
-        "solve weierstrass": lambda: solve(f, default_init(f), SolveConfig(
-            method=MethodKind.WEIERSTRASS, require_certificate=False, max_iter=3)),
+        "solve weierstrass": lambda: solve(
+            f, default_init(f, method=MethodKind.WEIERSTRASS),
+            SolveConfig(method=MethodKind.WEIERSTRASS, require_certificate=False, max_iter=3)),
         "ehrlich_step_bs": lambda: ehrlich_step_bs(f, near),
         "tanabe_step": lambda: tanabe_step(f, near),
     }

@@ -52,7 +52,7 @@ F = Polynomial([1, 0, -1])
 
 class TestDefaultInit:
     def test_quadratic(self):
-        x = default_init(F)
+        x = default_init(F, method=MethodKind.TANABE)
         assert x.size == 2
         np.testing.assert_allclose(np.abs(x), [2, 2], rtol=1e-14)
         np.testing.assert_allclose(x[0], -x[1], rtol=1e-14)
@@ -64,7 +64,7 @@ class TestDefaultInit:
 
     def test_cubic_center_and_spacing(self):
         f = Polynomial([1, -6, 11, -6])
-        x = default_init(f)
+        x = default_init(f, method=MethodKind.TANABE)
         assert np.mean(x) == pytest.approx(2.0, abs=1e-13)
         r = np.abs(x - 2.0)
         np.testing.assert_allclose(r, r[0], rtol=1e-13)
@@ -90,6 +90,81 @@ class TestDefaultInit:
             with pytest.raises(ValueError,
                                match="^default_init: the starting circle is not finite"):
                 default_init(Polynomial([1e-320, 1, -1]))
+
+    @pytest.mark.parametrize("method", [m for m in MethodKind if m is not MethodKind.EHRLICH])
+    @pytest.mark.parametrize("n", [2, 3, 17, 128])
+    def test_other_methods_start_from_the_circle(self, method, n):
+        f = random_monic(n, np.random.default_rng([7, n]))
+        for rotation in (0.0, 0.4, 1.1, 6.0):
+            c = f.coeffs / f.coeffs[0]
+            radius = 1.0 + max(abs(c[i]) ** (1.0 / i) for i in range(1, n + 1))
+            circle = -c[1] / n + radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + rotation))
+            np.testing.assert_array_equal(default_init(f, rotation, method), circle)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 257])
+    def test_polygon_of_z_n_minus_1_is_the_unit_circle(self, n):
+        x = default_init(Polynomial([1, *[0] * (n - 1), -1]))
+        np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-15)
+        assert len(set(x.tolist())) == n
+
+    @pytest.mark.parametrize("k0", [1, 2, 5])
+    def test_polygon_puts_a_zero_root_inside_the_least_circle(self, k0):
+        g = from_roots([0.5, -2.0, 3j, 10.0])
+        x = np.sort(np.abs(default_init(Polynomial([*g.coeffs, *[0] * k0]))))
+        # the same hull, shifted right by k0: the same circles, and k0
+        # points at half the least of them
+        circles = np.sort(np.abs(default_init(g)))
+        np.testing.assert_allclose(x[k0:], circles, rtol=1e-15)
+        np.testing.assert_allclose(x[:k0], circles[0] / 2, rtol=1e-15)
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 1, 0, 1], [1] * 9, [3, 0, 0, -3, 0, 0, 3],
+                                        [3, 0, 0, 0]])
+    def test_one_circle_spreads_its_points_evenly(self, coeffs):
+        # every |a_j| on one line gives one edge, not two circles of equal
+        # radius whose angles meet; a monomial, no edge and the unit circle
+        f = Polynomial(coeffs)
+        x = default_init(f)
+        np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-15)
+        gaps = np.abs(x[:, None] - x[None, :]) + np.diag(np.full(f.degree, np.inf))
+        assert gaps.min() == pytest.approx(2 * np.sin(np.pi / f.degree), rel=1e-12)
+
+    def test_polygon_over_ten_to_the_300_is_distinct_or_a_value_error(self):
+        rng = np.random.default_rng(300)
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(400):
+                n = int(rng.integers(2, 40))
+                coeffs = 10.0 ** rng.uniform(-300, 300, n + 1) * rng.choice([-1, 0, 1], n + 1)
+                coeffs[0] = 10.0 ** rng.uniform(-300, 300)
+                try:
+                    x = default_init(Polynomial(coeffs))
+                except ValueError as exc:
+                    assert str(exc).startswith("default_init: the starting circle is not finite")
+                    outcomes.add("error")
+                    continue
+                assert x.shape == (n,) and np.all(np.isfinite(x))
+                assert len(set(x.tolist())) == n
+                outcomes.add("points")
+        assert outcomes == {"error", "points"}
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_ehrlich_from_the_polygon_converges_in_20_iterations_on_kac(self, n):
+        cfg = SolveConfig(require_certificate=False)
+        for seed in range(1, 21):
+            f = random_monic(n, np.random.default_rng([seed, n]))
+            res = solve(f, default_init(f), cfg)
+            assert res.converged and res.iterations <= 20, (seed, res.iterations)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("rotation", [1e16, 1e20, 2.0 ** 60, -1e300])
+    def test_large_rotations_keep_the_points_distinct(self, method, rotation):
+        for f in (Polynomial([1, 0, 0, 0, -1]), random_monic(33, np.random.default_rng(3))):
+            assert len(set(default_init(f, rotation, method).tolist())) == f.degree
+
+    def test_method_must_be_a_method_kind(self):
+        with pytest.raises(ValueError, match="^method must be a MethodKind, got 'ehrlich'$"):
+            default_init(F, method="ehrlich")
 
 
 def _synthetic_trace(w_norms):

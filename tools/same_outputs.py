@@ -13,14 +13,14 @@ The grid: Kac polynomials (non-leading coefficients uniform in the unit
 square, as ``tests/conftest.random_monic``) of the degrees in DEGREES for
 seeds 1 and 2; between them they take every chunk width B of
 ``evaluate``: plain Horner (8), 4 (20), 8 (33, 64), 16 (128 to 385) and
-32 (512).  On each, ``solve`` runs uncertified with every method from
-``default_init``, and certified with each certifiable method from a point
-near the uncertified Ehrlich run's final iterate; right after each, the
-corrections W at that start point and ``a_posteriori_bound_1`` at its
-final iterate, both of which read the record the solve left at its p =
-inf, and then the record read at p = 1: ``e_measure`` at the start point
-and ``certify_initial`` at the final iterate.  At 0.9 times
-``default_init`` it runs ``inclusion_disks`` for Ehrlich and Tanabe, the
+32 (512).  On each, ``solve`` runs uncertified with every method from that
+method's own ``default_init`` start, and certified with each certifiable
+method from a point near the uncertified Ehrlich run's final iterate;
+right after each, the corrections W at that start point and
+``a_posteriori_bound_1`` at its final iterate, both of which read the
+record the solve left at its p = inf, and then the record read at p = 1:
+``e_measure`` at the start point and ``certify_initial`` at the final
+iterate.  At 0.9 times Ehrlich's ``default_init`` it runs ``inclusion_disks`` for Ehrlich and Tanabe, the
 three public steps and ``separation``, and ``evaluate`` at four of those
 points, one scalar call each, and once on a 2-D array that stacks all of
 them over 1.1 times ``default_init``.  ``inclusion_disks`` also runs at
@@ -50,14 +50,15 @@ p = 1, 2 and inf, and at p = 0, 0.5, nan, Fraction(1, 2) and 10**400;
 w_tol = 0, -1, inf and 10**400, and at p = True; ``a_priori_bound`` at
 k = -1 and 10**400; ``w_contraction_bound`` at k = 10**400;
 ``default_init`` at rotation = inf, -inf, nan, 1j, True, "0.4", None,
-[0.1, 0.2], 10**400, -10**400, Fraction(1, 3) and np.array(0.4);
+[0.1, 0.2], 10**400, -10**400, Fraction(1, 3) and np.array(0.4), and at
+method = "ehrlich";
 ``measure``, ``solve``, ``separation`` and ``viete`` at points of shape
 (2, 2), (1,), (0,) and (1, 4); ``measure`` at three points, one nan, for
 degree 2; and ``from_roots`` with a leading of [1.0, 2.0, 3.0], [[2.0]]
 and np.array([2.0]).
 
-In all there are 728 entries: 638 of the library grid, 132 of them the
-record read at p = 1, 36 of the command line and 54 of the rejected
+In all there are 729 entries: 638 of the library grid, 132 of them the
+record read at p = 1, 36 of the command line and 55 of the rejected
 settings and points.
 """
 
@@ -135,7 +136,7 @@ def grid() -> dict:
             near = x0
             for method in kinds:
                 cfg = rc.SolveConfig(method=method, require_certificate=False)
-                r = _run(lambda: rc.solve(f, x0, cfg))
+                r = _run(lambda: rc.solve(f, rc.default_init(f, method=method), cfg))
                 out[f"{tag} solve {method.value}"] = r
                 if isinstance(r, Exception):
                     continue
@@ -263,6 +264,7 @@ def settings_grid() -> dict:
     for r in (math.inf, -math.inf, math.nan, 1j, True, "0.4", None, [0.1, 0.2], 10**400,
               -10**400, Fraction(1, 3), np.array(0.4)):
         calls[f"default_init rotation={shown(r)}"] = lambda r=r: rc.default_init(f, rotation=r)
+    calls["default_init method='ehrlich'"] = lambda: rc.default_init(f, method="ehrlich")
     ctx = rc.norm_context(2, math.inf)
     for x in ([[1.0, 2.0], [3.0, 4.0]], [1.0], [], [[1.0, -1.0, 2.0, -2.0]]):
         shape = np.shape(x)
