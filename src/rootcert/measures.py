@@ -20,7 +20,9 @@ iterate it stops on) or from the record.  Any other Measurement reduces d
 from its own x when first read, once, to the same bits, and E from W and
 d.  A coincidence puts an exact 0 (or NaN, beside an infinite factor)
 into its product over j != i, so W is not finite there; wherever a
-product is 0 or not finite, d decides before the division.
+product is 0 or not finite, d is reduced from D at once, and decides.
+Measuring W emits no numpy warning: an overflow, or a product that
+underflows to 0, shows only as a W that is not finite.
 
 Whenever ``solve`` returns, it leaves its Measurements at x0 and at its
 final iterate in one O(n) record, keyed by the exact bytes of f.coeffs
@@ -214,23 +216,19 @@ def _with_d(m: Measurement, diff=None, d=None) -> Measurement:
 
 def _measured(f: Polynomial, x, ctx: NormContext):
     """(Measurement, D) at the checked point x, measured afresh, with D =
-    differences(x) for _with_d and the step map that follows.  d is
-    reduced here only where a product over j != i is 0 or not finite, and
-    a zero d_i raises NonDistinctComponents."""
-    diff = differences(x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    differences(x) for _with_d and the step map that follows, under one
+    errstate that silences numpy.  d is reduced here only where a product
+    over j != i is 0 or not finite; a zero d_i raises NonDistinctComponents."""
+    with np.errstate(all="ignore"):
+        diff = differences(x)
         prod = diff.prod(axis=0)
-    d = None
-    if not (prod.all() and np.isfinite(prod).all()):
-        d = _distinct(diff)
-        # again, with warnings: an overflow among distinct points warns
-        # here, and coinciding ones have raised before any warning
-        prod = diff.prod(axis=0)
-    w = evaluate(f, x) / (f.coeffs[0] * prod)
+        w = evaluate(f, x) / (f.coeffs[0] * prod)
     x.setflags(write=False)
     w.setflags(write=False)
     m = Measurement(x, w, _p=ctx.p)
-    return (m if d is None else _with_d(m, d=d)), diff
+    if not (prod.all() and np.isfinite(prod).all()):
+        _with_d(m, diff)
+    return m, diff
 
 
 # {(f.coeffs bytes, point bytes): Measurement}, the trace's own at x0 and

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -287,7 +288,38 @@ def test_coinciding_components_raise_before_an_overflowing_product_warns(name):
         call(f, x)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+# (f, x) where measuring W overflows or underflows
+EDGE_POINTS = {
+    # f overflows, the products are finite
+    "f overflows": (Polynomial([1, 0, -1]), np.array([1e200, -1e200])),
+    # each product over j != i overflows, f too
+    "products overflow": (Polynomial(np.r_[1.0, np.zeros(127), -1.0]),
+                          1e3 * np.exp(2j * np.pi * np.arange(128) / 128)),
+    # each product over j != i underflows to 0
+    "products underflow": (random_monic(64, np.random.default_rng(64)),
+                           1e-7 * np.arange(64) + 0j),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_POINTS)
+def test_measuring_w_emits_no_numpy_warning(name):
+    # the overflow or underflow shows only as a W that is not finite, with
+    # every warning an error
+    f, x = EDGE_POINTS[name]
+    ctx = norm_context(f.degree, INF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = measure(f, x, ctx)
+        w = weierstrass_correction(f, x)
+        E = e_measure(f, x, ctx)
+        cert = certify_initial(f, x, gauge_bundle(MethodKind.EHRLICH, ctx))
+        r = solve(f, x, SolveConfig(require_certificate=False))
+    assert not np.isfinite(m.w).all() and not np.isfinite(w).all()
+    assert not math.isfinite(E) and not cert.issued
+    assert r.iterations == 0 and not r.converged
+    assert r.final.tobytes() == x.astype(complex).tobytes()
+
+
 @pytest.mark.parametrize("name", ["weierstrass_correction", "weierstrass_step"])
 def test_w_alone_underflowing_products_fall_back_to_separations(monkeypatch, name):
     # 64 distinct points 1e-7 apart: each product over j != i underflows

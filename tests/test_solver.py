@@ -424,7 +424,6 @@ def test_non_finite_start_rejected():
             solve(F, [bad, -2.0], SolveConfig(require_certificate=False))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_measure_stops_the_run():
     # f overflows at this finite start, so E is not finite from x0 on
     res = solve(F, [1e300, -1e300], SolveConfig(require_certificate=False))
@@ -493,7 +492,6 @@ def test_components_coinciding_mid_run_raise_measures_error(monkeypatch, method,
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", list(MethodKind))
 def test_non_finite_w_mid_run_stops_on_that_iterate(monkeypatch, method):
     # f overflows at x2, so W there is not finite: the guard reads max|W|
@@ -719,7 +717,6 @@ def test_no_final_certificate_unless_x0_certified(method, start, require):
     assert r.disks == [] and r.disjoint is False
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("start, cfg, ended", [
     ([2.0, -2.0], SolveConfig(), lambda r: r.converged),
     ([2.0, -2.0], SolveConfig(max_iter=1), lambda r: r.iterations == 1 and not r.converged),

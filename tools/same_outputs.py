@@ -43,6 +43,16 @@ near point, each also in text mode.  Then ``thresholds --n 5``, with
 files, and a Tanabe request whose final iterate is (inf, -inf), so the
 JSON's rule for a float that is not finite is compared too.
 
+Then four edge points, where measuring W does not stay in range: z**2 - 1
+at (1e200, -1e200), where f overflows and the products over j != i are
+finite; z**128 - 1 at 1e3 times the 128th roots of unity, where the
+products overflow, and at the same points with the second moved onto the
+first, where components coincide; and the Kac polynomial of degree 64
+drawn from ``default_rng(64)`` at 1e-7 * arange(64), where the products
+underflow to 0.  At each, ``measure``, ``weierstrass_correction``,
+``e_measure`` and Ehrlich's ``certify_initial`` at p = inf, the three
+public steps and, last, uncertified ``solve`` are one entry each.
+
 Last, each numeric setting and point that the library rejects is one
 entry, the error it raises: ``norm_context`` at n = 1 and n = 10**400 for
 p = 1, 2 and inf, and at p = 0, 0.5, nan, Fraction(1, 2) and 10**400;
@@ -57,9 +67,9 @@ method = "ehrlich";
 degree 2; and ``from_roots`` with a leading of [1.0, 2.0, 3.0], [[2.0]]
 and np.array([2.0]).
 
-In all there are 729 entries: 638 of the library grid, 132 of them the
-record read at p = 1, 36 of the command line and 55 of the rejected
-settings and points.
+In all there are 761 entries: 638 of the library grid, 132 of them the
+record read at p = 1, 36 of the command line, 32 of the edge points and 55
+of the rejected settings and points.
 """
 
 from __future__ import annotations
@@ -104,11 +114,11 @@ def _bits(v):
     return v
 
 
-def _kac(n: int, seed: int):
-    """The seeded Kac coefficients of degree n, leading-first."""
+def _kac(n: int, seed):
+    """The Kac coefficients of degree n drawn from default_rng(seed), leading-first."""
     import numpy as np
 
-    rng = np.random.default_rng([seed, n])
+    rng = np.random.default_rng(seed)
     return np.concatenate([[1.0 + 0.0j], rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)])
 
 
@@ -128,7 +138,7 @@ def grid() -> dict:
     out = {}
     for n in DEGREES:
         for seed in SEEDS:
-            f = rc.Polynomial(_kac(n, seed))
+            f = rc.Polynomial(_kac(n, [seed, n]))
             x0 = rc.default_init(f)
             tag = f"n={n} seed={seed}"
             ctx, ctx1 = rc.norm_context(n, math.inf), rc.norm_context(n, 1)
@@ -204,7 +214,7 @@ def cli_grid() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for n in DEGREES[:2]:
             for seed in SEEDS:
-                f = rc.Polynomial(_kac(n, seed))
+                f = rc.Polynomial(_kac(n, [seed, n]))
                 cfg = rc.SolveConfig(require_certificate=False)
                 near = rc.solve(f, rc.default_init(f), cfg).final * (1.0 + 1e-9)
                 tag = f"kac-{n}-{seed}"
@@ -231,6 +241,41 @@ def cli_grid() -> dict:
             "--method", "tanabe", "--no-certificate", "--json"]
     out["cli " + " ".join(argv)] = _cli(argv)
     return {name: _bits(v) for name, v in out.items()}
+
+
+def edge_grid() -> dict:
+    """What each function of a point gives where measuring W overflows,
+    underflows or meets coinciding components, by entry name, as exact bytes."""
+    import numpy as np
+    import rootcert as rc
+
+    unit = rc.Polynomial(np.r_[1.0, np.zeros(127), -1.0])
+    far = 1e3 * np.exp(2j * np.pi * np.arange(128) / 128)
+    onto = far.copy()
+    onto[1] = onto[0]
+    points = {
+        "z^2-1 f overflows": (rc.Polynomial([1, 0, -1]), np.array([1e200, -1e200])),
+        "z^128-1 products overflow": (unit, far),
+        "kac-64 products underflow": (rc.Polynomial(_kac(64, 64)), 1e-7 * np.arange(64)),
+        "z^128-1 coinciding": (unit, onto),
+    }
+    out = {}
+    for tag, (f, x) in points.items():
+        ctx = rc.norm_context(f.degree, math.inf)
+        calls = {
+            "measure": lambda: rc.measure(f, x, ctx),
+            "weierstrass_correction": lambda: rc.weierstrass_correction(f, x),
+            "e_measure": lambda: rc.e_measure(f, x, ctx),
+            "certify_initial": lambda: rc.certify_initial(
+                f, x, rc.gauge_bundle(rc.MethodKind.EHRLICH, ctx)),
+            **{step.__name__: lambda step=step: step(f, x)
+               for step in (rc.weierstrass_step, rc.ehrlich_step_bs, rc.tanabe_step)},
+            # last, so the calls above measure afresh rather than read its record
+            "solve": lambda: rc.solve(f, x, rc.SolveConfig(require_certificate=False)),
+        }
+        for name, call in calls.items():
+            out[f"edge {tag} {name}"] = _bits(_run(call))
+    return out
 
 
 def settings_grid() -> dict:
@@ -289,7 +334,7 @@ def _dump() -> None:
     if not os.path.realpath(rootcert.__file__).startswith(src + os.sep):
         raise SystemExit(f"rootcert came from {rootcert.__file__}, not {src}")
     with np.errstate(all="ignore"):
-        entries = {**grid(), **cli_grid(), **settings_grid()}
+        entries = {**grid(), **cli_grid(), **edge_grid(), **settings_grid()}
     sys.stdout.buffer.write(pickle.dumps(entries))
 
 
